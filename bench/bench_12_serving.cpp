@@ -119,9 +119,11 @@ int main() {
       env_int("GMM_BENCH_SERVE_DEADLINE_MS", 1, 3'600'000, 2000));
   const std::vector<double> rates = env_rates();
 
-  // A pool of small distinct designs on the bundled synthetic board:
-  // large enough to defeat trivial caching, small enough that one solve
-  // is milliseconds and the interesting signal is QUEUEING, not solving.
+  // A pool of 16 small distinct designs on the bundled synthetic board,
+  // sent round-robin: one solve is milliseconds, so the signal is
+  // QUEUEING, not solving.  The server keeps its default solution cache,
+  // so after a design's first proved solve its repeats are cache replays;
+  // perfbench's serve_mix workload is the one that measures cold solves.
   const arch::Board board = *workload::board_from_totals(
       {.banks = 23, .ports = 45, .configs = 100});
   std::vector<std::string> designs;

@@ -248,7 +248,7 @@ std::optional<std::vector<Table3Row>> load_cache() {
   const auto& points = workload::table3_points();
   while (std::getline(in, line)) {
     const std::vector<std::string> f = support::split(line, ',');
-    if (f.size() != 12) return std::nullopt;
+    if (f.size() != 15) return std::nullopt;
     Table3Row row;
     std::int64_t index = 0;
     if (!support::parse_int(f[0], index) || index < 1 ||
@@ -264,6 +264,11 @@ std::optional<std::vector<Table3Row>> load_cache() {
     row.objectives_match = f[9] == "yes";
     support::parse_int(f[10], row.complete_vars);
     support::parse_int(f[11], row.global_vars);
+    if (!support::parse_int(f[12], row.global_nodes) ||
+        !support::parse_int(f[13], row.global_pivots) ||
+        !support::parse_int(f[14], row.global_refactorizations)) {
+      return std::nullopt;
+    }
     rows.push_back(row);
   }
   return rows.empty() ? std::nullopt : std::make_optional(rows);
@@ -274,7 +279,7 @@ void store_cache(const std::vector<Table3Row>& rows) {
   out << cache_header() << "\n";
   out << "point,segments,banks_ports,configs,complete_s,complete_status,"
          "complete_gap,global_s,global_status,parity,complete_vars,"
-         "global_vars\n";
+         "global_vars,global_nodes,global_pivots,global_refactorizations\n";
   for (const Table3Row& row : rows) {
     out << row.point.index << "," << row.point.segments << ","
         << row.point.totals.banks << "/" << row.point.totals.ports << ","
@@ -282,7 +287,8 @@ void store_cache(const std::vector<Table3Row>& rows) {
         << row.complete_status << "," << row.complete_gap << ","
         << row.global_seconds << "," << row.global_status << ","
         << (row.objectives_match ? "yes" : "no") << "," << row.complete_vars
-        << "," << row.global_vars << "\n";
+        << "," << row.global_vars << "," << row.global_nodes << ","
+        << row.global_pivots << "," << row.global_refactorizations << "\n";
   }
 }
 
@@ -320,6 +326,9 @@ std::vector<Table3Row> run_or_load_table3_sweep() {
     row.global_status = lp::to_string(pipeline.status);
     row.global_vars = pipeline.model_size.variables;
     row.global_rows = pipeline.model_size.rows;
+    row.global_nodes = pipeline.effort.bnb_nodes;
+    row.global_pivots = pipeline.effort.lp_iterations;
+    row.global_refactorizations = pipeline.effort.lp_refactorizations;
 
     // Complete (flat) approach, same cost table.
     timer.reset();

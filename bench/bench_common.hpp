@@ -31,6 +31,11 @@ struct Table3Row {
   double complete_gap = 0.0;   // relative gap when not proven optimal
   double global_seconds = 0.0;
   std::string global_status;
+  // Effort of the global solve (cumulative over pipeline retries): B&B
+  // nodes, dual simplex pivots and LP basis refactorizations.
+  std::int64_t global_nodes = 0;
+  std::int64_t global_pivots = 0;
+  std::int64_t global_refactorizations = 0;
   bool objectives_match = false;  // quality parity on this point
   std::int64_t complete_vars = 0, complete_rows = 0;
   std::int64_t global_vars = 0, global_rows = 0;

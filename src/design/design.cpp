@@ -1,6 +1,6 @@
 #include "design/design.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -13,11 +13,25 @@ std::size_t Design::add(DataStructure ds) {
   return structures_.size() - 1;
 }
 
+namespace {
+
+/// Slot of the pair a < b in the lower-triangular conflict index; it does
+/// not depend on the structure count, so adding structures keeps it valid.
+std::size_t pair_slot(std::size_t a, std::size_t b) {
+  return b * (b - 1) / 2 + a;
+}
+
+}  // namespace
+
 void Design::add_conflict(std::size_t a, std::size_t b) {
   GMM_ASSERT(a < size() && b < size() && a != b,
              "conflict references unknown structures");
   if (a > b) std::swap(a, b);
-  if (!conflicts(a, b)) pairs_.emplace_back(a, b);
+  if (conflicts(a, b)) return;
+  const std::size_t slot = pair_slot(a, b);
+  if (slot >= conflict_index_.size()) conflict_index_.resize(slot + 1);
+  conflict_index_[slot] = true;
+  pairs_.emplace_back(a, b);
 }
 
 void Design::set_all_conflicting() {
@@ -25,6 +39,7 @@ void Design::set_all_conflicting() {
   for (std::size_t a = 0; a < size(); ++a) {
     for (std::size_t b = a + 1; b < size(); ++b) pairs_.emplace_back(a, b);
   }
+  rebuild_conflict_index();
 }
 
 void Design::derive_conflicts_from_lifetimes() {
@@ -39,12 +54,19 @@ void Design::derive_conflicts_from_lifetimes() {
       }
     }
   }
+  rebuild_conflict_index();
+}
+
+void Design::rebuild_conflict_index() {
+  conflict_index_.assign(pair_slot(0, size()), false);
+  for (const auto& [a, b] : pairs_) conflict_index_[pair_slot(a, b)] = true;
 }
 
 bool Design::conflicts(std::size_t a, std::size_t b) const {
+  if (a == b) return false;
   if (a > b) std::swap(a, b);
-  return std::find(pairs_.begin(), pairs_.end(), std::make_pair(a, b)) !=
-         pairs_.end();
+  const std::size_t slot = pair_slot(a, b);
+  return slot < conflict_index_.size() && conflict_index_[slot];
 }
 
 std::int64_t Design::total_bits() const {

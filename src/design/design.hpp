@@ -50,9 +50,15 @@ class Design {
   [[nodiscard]] std::int64_t total_bits() const;
 
  private:
+  void rebuild_conflict_index();
+
   std::string name_;
   std::vector<DataStructure> structures_;
+  // Insertion order: writers, fingerprints and round trips read it.
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;  // a < b
+  // Membership of pairs_, one bit per pair a < b at b(b-1)/2 + a, so
+  // conflicts() and add_conflict() are O(1).
+  std::vector<bool> conflict_index_;
 };
 
 }  // namespace gmm::design

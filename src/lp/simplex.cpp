@@ -16,6 +16,13 @@ namespace {
 /// considered ties, and the largest |pivot| among them wins.
 constexpr double kHarrisSlack = 1e-7;
 
+/// Smallest |pivot| load_basis accepts when it swaps a snapshot column
+/// into the current inverse.  Stricter than kPivotTol: these pivots are
+/// chosen by magnitude alone, with no ratio test or cross-check behind
+/// them, so a near-dependent snapshot column falls back to the
+/// refactorization and its basis repair instead.
+constexpr double kReplacePivotTol = 1e-7;
+
 bool is_nonbasic(VStat s) { return s != VStat::kBasic; }
 
 }  // namespace
@@ -31,20 +38,29 @@ DenseTableauBackend::DenseTableauBackend(const StandardForm& sf)
   d_.resize(n_);
   alpha_.resize(n_);
   w_.resize(m_);
+  rhs_.resize(m_);
   reset_to_logical_basis();
 }
 
 void DenseTableauBackend::set_column_bounds(Index j, double lb, double ub) {
   GMM_ASSERT(!(lb > ub), "set_column_bounds with lb > ub");
+  if (stat_[j] == VStat::kBasic) {
+    // x_B does not depend on a basic column's own bounds: nothing to
+    // refresh (the dual simplex repairs any violation this creates).
+    lb_[j] = lb;
+    ub_[j] = ub;
+    return;
+  }
+  const double before = nonbasic_value(j);
   lb_[j] = lb;
   ub_[j] = ub;
-  if (stat_[j] == VStat::kBasic) return;
   // Re-derive a nonbasic status that keeps the basis DUAL feasible, so a
   // branch-and-bound node restored under a different bound path can
   // warm-start the dual simplex from whatever basis the engine holds.
   // d_ is maintained across every pivot for ALL nonbasic columns, fixed
   // ones included, precisely so this is valid.
   stat_[j] = detail::dual_feasible_status(d_[j], lb, ub);
+  if (nonbasic_value(j) != before) xb_stale_ = true;
 }
 
 void DenseTableauBackend::reset_bounds() {
@@ -105,7 +121,7 @@ void DenseTableauBackend::reset_to_logical_basis() {
   std::fill(binv_.begin(), binv_.end(), 0.0);
   for (Index i = 0; i < m_; ++i) binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
   pivots_since_refactor_ = 0;
-  refresh_basic_solution();
+  recompute_basic_solution();
   compute_duals();
 }
 
@@ -113,7 +129,6 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
   GMM_ASSERT(basis.basic_in_row.size() == static_cast<std::size_t>(m_) &&
                  basis.status.size() == static_cast<std::size_t>(n_),
              "basis snapshot does not match this standard form");
-  basis_ = basis.basic_in_row;
   stat_ = basis.status;
   // Normalize nonbasic statuses against the working bounds: keep the
   // snapshot's status whenever the bound it references still exists.
@@ -132,7 +147,10 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
       }
     }
   }
-  refactorize();
+  if (!replace_basis_columns(basis.basic_in_row)) {
+    basis_ = basis.basic_in_row;
+    refactorize();
+  }
   compute_duals();
   // Repair DUAL feasibility.  A snapshot taken on this engine's own
   // parent node is dual feasible by construction (bounds don't enter the
@@ -178,33 +196,110 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
         break;
     }
   }
-  refresh_basic_solution();
+  recompute_basic_solution();
+}
+
+bool DenseTableauBackend::replace_basis_columns(
+    const std::vector<Index>& target) {
+  // Row of every currently basic column; -1 for nonbasic ones.
+  col_row_.assign(n_, -1);
+  for (Index i = 0; i < m_; ++i) col_row_[basis_[i]] = i;
+  // Rows whose basic column the target drops, and the target columns
+  // that are not basic yet.  A target listing a column twice leaves the
+  // two counts unequal (or repeats an entering column, whose second
+  // pivot is zero) and goes to refactorize()'s repair.
+  leaving_.assign(m_, 1);
+  entering_.clear();
+  for (const Index j : target) {
+    if (col_row_[j] >= 0) {
+      leaving_[col_row_[j]] = 0;
+    } else {
+      entering_.push_back(j);
+    }
+  }
+  const auto changes = static_cast<Index>(entering_.size());
+  if (std::count(leaving_.begin(), leaving_.end(), 1) != changes ||
+      2 * changes > m_ ||
+      pivots_since_refactor_ + changes >= refactor_interval_) {
+    return false;
+  }
+  for (const Index q : entering_) {
+    // Pivot q into the still-leaving row where it is largest.  The target
+    // is nonsingular exactly when some still-leaving row is nonzero at
+    // every step (the other rows already hold target columns), so a tiny
+    // best pivot means a (near-)singular snapshot: let the refactorization
+    // repair it.
+    ftran(q, w_);
+    Index r = -1;
+    double best = 0.0;
+    for (Index i = 0; i < m_; ++i) {
+      if (leaving_[i] != 0 && std::abs(w_[i]) > best) {
+        best = std::abs(w_[i]);
+        r = i;
+      }
+    }
+    if (best < kReplacePivotTol) return false;
+    update_inverse(r, w_[r]);
+    col_row_[q] = r;
+    basis_[r] = q;
+    leaving_[r] = 0;
+    ++pivots_since_refactor_;
+    const std::int64_t nnz =
+        sf_.is_logical(q)
+            ? 1
+            : static_cast<std::int64_t>(sf_.col_start[q + 1] -
+                                        sf_.col_start[q]);
+    stats_.work_units += static_cast<std::int64_t>(m_) * (nnz + m_);
+  }
+  // Same basic set; now put each column in its snapshot row, so the
+  // engine ends where a fresh load of the snapshot would, up to rounding.
+  bool permuted = false;
+  for (Index t = 0; t < m_ && !permuted; ++t) {
+    permuted = col_row_[target[t]] != t;
+  }
+  if (permuted) {
+    work_b_.resize(binv_.size());
+    for (Index t = 0; t < m_; ++t) {
+      const double* from =
+          binv_.data() + static_cast<std::size_t>(col_row_[target[t]]) * m_;
+      std::copy(from, from + m_,
+                work_b_.data() + static_cast<std::size_t>(t) * m_);
+    }
+    binv_.swap(work_b_);
+    basis_ = target;
+  }
+  return true;
 }
 
 Basis DenseTableauBackend::snapshot_basis() const { return Basis{basis_, stat_}; }
 
 void DenseTableauBackend::refresh_basic_solution() {
+  if (xb_stale_) recompute_basic_solution();
+}
+
+void DenseTableauBackend::recompute_basic_solution() {
   // x_B = -B^{-1} * sum_j(A_j * value_j) over nonbasic columns with
   // nonzero value.
-  std::vector<double> rhs(m_, 0.0);
+  std::fill(rhs_.begin(), rhs_.end(), 0.0);
   for (Index j = 0; j < n_; ++j) {
     if (!is_nonbasic(stat_[j])) continue;
     const double v = nonbasic_value(j);
     if (v == 0.0) continue;
     if (sf_.is_logical(j)) {
-      rhs[sf_.logical_row(j)] += v;
+      rhs_[sf_.logical_row(j)] += v;
     } else {
       for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
-        rhs[sf_.row_index[k]] += sf_.value[k] * v;
+        rhs_[sf_.row_index[k]] += sf_.value[k] * v;
       }
     }
   }
   for (Index i = 0; i < m_; ++i) {
     const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
     double acc = 0.0;
-    for (Index k = 0; k < m_; ++k) acc += row[k] * rhs[k];
+    for (Index k = 0; k < m_; ++k) acc += row[k] * rhs_[k];
     xb_[i] = -acc;
   }
+  xb_stale_ = false;
 }
 
 void DenseTableauBackend::ftran(Index j, std::vector<double>& w) const {
@@ -381,6 +476,22 @@ void DenseTableauBackend::compute_duals() {
   }
 }
 
+void DenseTableauBackend::update_inverse(Index r, double pivot) {
+  // Product-form update of the explicit inverse for the column w_ = B^{-1}
+  // a_q entering row r (pivot = w_r, or the pivot row's alpha_q):
+  //   row_r /= pivot;   row_i -= w_i * row_r (i != r).
+  double* piv_row = binv_.data() + static_cast<std::size_t>(r) * m_;
+  const double inv_pivot = 1.0 / pivot;
+  for (Index k = 0; k < m_; ++k) piv_row[k] *= inv_pivot;
+  for (Index i = 0; i < m_; ++i) {
+    if (i == r) continue;
+    const double f = w_[i];
+    if (f == 0.0) continue;
+    double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
+    for (Index k = 0; k < m_; ++k) row[k] -= f * piv_row[k];
+  }
+}
+
 DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
   // ---- 1. leaving row -------------------------------------------------
   // Normal mode: the largest bound violation, with a deterministic scan
@@ -528,19 +639,7 @@ DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
     stat_[leave_col] = above_upper ? VStat::kAtUpper : VStat::kAtLower;
   }
   basis_[leave_row] = enter_col;
-
-  // Product-form update of the explicit inverse:
-  //   row_r /= alpha_q;   row_i -= w_i * row_r (i != r).
-  double* piv_row = binv_.data() + static_cast<std::size_t>(leave_row) * m_;
-  const double inv_alpha = 1.0 / alpha_q;
-  for (Index k = 0; k < m_; ++k) piv_row[k] *= inv_alpha;
-  for (Index i = 0; i < m_; ++i) {
-    if (i == leave_row) continue;
-    const double f = w_[i];
-    if (f == 0.0) continue;
-    double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
-    for (Index k = 0; k < m_; ++k) row[k] -= f * piv_row[k];
-  }
+  update_inverse(leave_row, alpha_q);
 
   // Degeneracy bookkeeping: a zero dual step makes no progress on the
   // dual objective; long streaks can cycle, so switch to Bland's rules
@@ -568,6 +667,7 @@ DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
 SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
   support::WallTimer timer;
   stall_threshold_ = options.stall_threshold;
+  refactor_interval_ = options.refactor_interval;
   std::int64_t iterations_this_call = 0;
   int numerical_retries = 0;
   while (true) {
@@ -580,7 +680,7 @@ SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
     }
     if (pivots_since_refactor_ >= options.refactor_interval) {
       refactorize();
-      refresh_basic_solution();
+      recompute_basic_solution();
       compute_duals();
     }
     switch (dual_pivot()) {
@@ -595,7 +695,7 @@ SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
       case PivotResult::kNumerical:
         if (++numerical_retries > 3) return SolveStatus::kNumericalFailure;
         refactorize();
-        refresh_basic_solution();
+        recompute_basic_solution();
         compute_duals();
         break;
     }

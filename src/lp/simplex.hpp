@@ -17,9 +17,29 @@
 // partial pivoting and singular-basis repair, Harris-style two-pass dual
 // ratio test picking the largest eligible pivot magnitude.
 //
+// Loading a branch-and-bound snapshot reuses the inverse the engine
+// already holds: each snapshot column that is not basic yet is pivoted in
+// by the same product-form update, into the row of a leaving column where
+// its FTRAN entry is largest, and the rows of B^{-1} are then permuted
+// into the snapshot's order.  Each swap counts toward the
+// refactor_interval cadence.  The load refactorizes from scratch instead
+// when more than half the rows change, when a swap's pivot is below
+// tolerance (a rank-deficient snapshot, which the refactorization
+// repairs), or when the cadence is due.  x_B is recomputed only when a
+// nonbasic value changed since it was last computed: a bound change on a
+// basic column, which is every branching change of a dive, leaves it as
+// it is.
+//
 // Complexity per pivot: O(m^2) for the inverse/x_B row updates plus
 // O(nnz(A)) for the pivot row — for the largest complete-formulation model
-// in this project (m ~ 2.5e3, nnz ~ 2e5) a few milliseconds.
+// in this project (m ~ 2.5e3, nnz ~ 2e5) a few milliseconds.  A snapshot
+// load costs O(k (m^2 + m nnz(a_q))) for k changed columns, against
+// O(m^3) for a refactorization.
+//
+// Runs stay bitwise repeatable, but the inverse a load leaves behind
+// differs in rounding from a fresh factorization, so branch-and-bound
+// trees may differ from those of builds that refactorized on every load
+// (equally valid trees, same proved optima).
 #pragma once
 
 #include <vector>
@@ -57,11 +77,13 @@ class DenseTableauBackend final : public LpBackend {
   /// finite bound, and if any column admits no such repair (or the basis
   /// is singular beyond refactorize()'s row repair) the engine degrades to
   /// the all-logical cold basis — loading a foreign or stale basis can
-  /// cost pivots, never correctness.
+  /// cost pivots, never correctness.  A snapshot close to the current
+  /// basis is reached by column replacement (see the file comment).
   void load_basis(const Basis& basis) override;
   [[nodiscard]] Basis snapshot_basis() const override;
 
-  /// Recompute x_B and nonbasic values from the current bounds + basis.
+  /// Bring x_B up to date with the current bounds + basis.  A no-op when
+  /// no nonbasic value changed since x_B was last computed.
   void refresh_basic_solution() override;
 
   // ---- solving -------------------------------------------------------
@@ -88,6 +110,15 @@ class DenseTableauBackend final : public LpBackend {
   double column_dot(const double* rho, Index j) const;  // rho . A_j
 
   void refactorize();
+  /// Reach the basic set `target` (basic column per row) from the current
+  /// basis by column replacement, leaving B^{-1} in target's row order.
+  /// False when refactorize() must do it instead: too many changes, a
+  /// pivot below tolerance, or the refactorization cadence is due.
+  bool replace_basis_columns(const std::vector<Index>& target);
+  /// Product-form update of B^{-1} for w_ = B^{-1} a_q entering row r.
+  void update_inverse(Index r, double pivot);
+  /// x_B from scratch: O(nnz(A) + m^2).
+  void recompute_basic_solution();
   void compute_duals();
   [[nodiscard]] double nonbasic_value(Index j) const;
 
@@ -109,9 +140,15 @@ class DenseTableauBackend final : public LpBackend {
   std::vector<double> alpha_;          // pivot row across all columns
   std::vector<Index> eligible_;        // candidate entering columns
   std::vector<double> w_;              // FTRAN result
-  std::vector<double> work_b_;         // refactorization workspace
+  std::vector<double> work_b_;         // refactorization / row permutation
+  std::vector<double> rhs_;            // x_B recompute right-hand side
+  std::vector<Index> col_row_;         // load: row of each basic column
+  std::vector<char> leaving_;          // load: row's column still leaves
+  std::vector<Index> entering_;        // load: snapshot columns to pivot in
 
   int pivots_since_refactor_ = 0;
+  int refactor_interval_ = SimplexOptions{}.refactor_interval;  // last solve()
+  bool xb_stale_ = false;  // a nonbasic value moved since x_B was computed
   std::uint32_t tie_rotation_ = 0;  // deterministic tie-break rotation
   // Anti-cycling: after a long streak of degenerate (zero dual step)
   // pivots, switch to Bland's smallest-index rules, which provably
