@@ -17,9 +17,6 @@
 //   --map          append the per-instance memory-map report
 //   --threads N    branch & bound workers per solve (default 1; 0 = all
 //                  hardware threads)
-//   --lp-engine E  LP engine for every node relaxation: "dense" (default)
-//                  or "sparse" (revised simplex; per-pivot cost scales
-//                  with nonzeros — same answers, different speed)
 //   --jobs N       map the given designs as one batch over an N-worker
 //                  pool (default: one worker per design, capped at the
 //                  hardware concurrency); implied when several design
@@ -43,7 +40,6 @@
 
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
-#include "lp/lp_backend.hpp"
 #include "mapping/batch_mapper.hpp"
 #include "mapping/complete_mapper.hpp"
 #include "mapping/pipeline.hpp"
@@ -61,7 +57,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <board-file> <design-file>... [--complete] "
                "[--portfolio] [--lanes N] [--devices N] [--csv] [--map] "
-               "[--threads N] [--lp-engine dense|sparse] [--jobs N]\n",
+               "[--threads N] [--jobs N]\n",
                argv0);
   return 2;
 }
@@ -166,7 +162,6 @@ int main(int argc, char** argv) {
   bool csv = false;
   bool memory_map = false;
   int threads = 1;
-  lp::LpEngine lp_engine = lp::LpEngine::kDense;
   int jobs = 0;  // 0 = auto (one per design, capped at hardware)
   int devices = 0;  // 0 = as declared in the board file
   bool jobs_given = false;
@@ -191,10 +186,6 @@ int main(int argc, char** argv) {
       memory_map = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!parse_count(argv[++i], threads)) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--lp-engine") == 0 && i + 1 < argc) {
-      if (!gmm::lp::parse_lp_engine(argv[++i], lp_engine)) {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       if (!parse_count(argv[++i], jobs)) return usage(argv[0]);
       jobs_given = true;
@@ -246,7 +237,6 @@ int main(int argc, char** argv) {
 
   mapping::PipelineOptions pipeline_options;
   pipeline_options.global.mip.num_threads = threads;
-  pipeline_options.global.mip.lp_engine = lp_engine;
 
   // ---- single-design mode ----------------------------------------------
   if (designs.size() == 1 && !jobs_given) {
@@ -320,7 +310,6 @@ int main(int argc, char** argv) {
       const mapping::CostTable table(design, board);
       mapping::CompleteOptions complete_options;
       complete_options.mip.num_threads = threads;
-      complete_options.mip.lp_engine = lp_engine;
       const mapping::CompleteResult r =
           mapping::map_complete(design, board, table, complete_options);
       return report_single(board, design, "complete", csv, memory_map,

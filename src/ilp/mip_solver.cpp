@@ -111,10 +111,7 @@ class Search {
   /// synchronization helpers.
   class Worker {
    public:
-    explicit Worker(Search& search)
-        : s_(search),
-          engine_(lp::make_lp_backend(search.options_.lp_engine,
-                                      *search.sf_)) {
+    explicit Worker(Search& search) : s_(search), engine_(*search.sf_) {
       pcost_.assign(search.reduced_->num_vars(), Pseudocost{});
     }
 
@@ -123,10 +120,10 @@ class Search {
 
     [[nodiscard]] std::int64_t lp_iterations() const { return lp_iterations_; }
     [[nodiscard]] std::int64_t refactorizations() const {
-      return engine_->stats().refactorizations;
+      return engine_.stats().refactorizations;
     }
     [[nodiscard]] std::int64_t work_units() const {
-      return engine_->stats().work_units;
+      return engine_.stats().work_units;
     }
     [[nodiscard]] bool popped_any() const { return popped_any_; }
     [[nodiscard]] double last_popped_bound() const {
@@ -154,7 +151,7 @@ class Search {
     void dive(std::shared_ptr<const NodeData> node, bool warm_start);
 
     Search& s_;
-    std::unique_ptr<lp::LpBackend> engine_;  // private per-worker engine
+    lp::SimplexEngine engine_;  // private per-worker engine
     std::vector<Pseudocost> pcost_;  // indexed by reduced column
     std::int64_t lp_iterations_ = 0;
     // This worker's share of the cache counters: loaded/cold_pops and the
@@ -372,7 +369,7 @@ void Search::release_basis_locked(const std::shared_ptr<BasisSlot>& slot) {
 }
 
 void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
-  engine_->reset_bounds();
+  engine_.reset_bounds();
   // Collect root->leaf order; later changes on the same variable must win.
   std::vector<const NodeData*> chain;
   for (const NodeData* p = node; p != nullptr; p = p->parent.get()) {
@@ -381,7 +378,7 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const BoundChange& c = (*it)->change;
     if (c.var != lp::kInvalidIndex) {
-      engine_->set_column_bounds(c.var, c.lb, c.ub);
+      engine_.set_column_bounds(c.var, c.lb, c.ub);
     }
   }
   if (warm != nullptr) {
@@ -390,9 +387,9 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
     // and reduced costs do not depend on bounds), so the dual simplex
     // resumes as if this worker had just solved the parent.  load_basis
     // refreshes the basic solution itself.
-    engine_->load_basis(*warm);
+    engine_.load_basis(*warm);
   } else {
-    engine_->refresh_basic_solution();
+    engine_.refresh_basic_solution();
   }
 }
 
@@ -454,17 +451,17 @@ SolveStatus Search::Worker::solve_node_lp() {
   if (remaining < kInf) {
     simplex.time_limit_seconds = std::max(0.0, remaining);
   }
-  const std::int64_t before = engine_->stats().iterations;
-  SolveStatus status = engine_->solve(simplex);
+  const std::int64_t before = engine_.stats().iterations;
+  SolveStatus status = engine_.solve(simplex);
   if (status == SolveStatus::kNumericalFailure ||
       status == SolveStatus::kIterationLimit) {
     // Cold restart once; the all-logical basis is always dual feasible.
     GMM_LOG(kWarn) << "mip: node LP " << to_string(status)
                    << ", retrying from a cold basis";
-    engine_->reset_to_logical_basis();
-    status = engine_->solve(simplex);
+    engine_.reset_to_logical_basis();
+    status = engine_.solve(simplex);
   }
-  lp_iterations_ += engine_->stats().iterations - before;
+  lp_iterations_ += engine_.stats().iterations - before;
   return status;
 }
 
@@ -500,11 +497,11 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
       s_.options_.progress->fetch_add(1, std::memory_order_relaxed);
     }
 
-    const std::int64_t pivots_before = engine_->stats().iterations;
+    const std::int64_t pivots_before = engine_.stats().iterations;
     const SolveStatus lp_status = solve_node_lp();
     if (at_popped_node) {
       at_popped_node = false;
-      const std::int64_t pivots = engine_->stats().iterations - pivots_before;
+      const std::int64_t pivots = engine_.stats().iterations - pivots_before;
       if (warm_start) {
         basis_stats_.warm_pop_pivots += pivots;
       } else {
@@ -524,7 +521,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     }
 
     const double node_bound =
-        engine_->objective_value() + s_.pre_.objective_offset;
+        engine_.objective_value() + s_.pre_.objective_offset;
 
     if (pending_var != lp::kInvalidIndex) {
       const double degradation =
@@ -542,7 +539,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
 
     if (node_bound >= s_.prune_threshold()) return;  // bound-pruned
 
-    const std::vector<double> x = engine_->structural_solution();
+    const std::vector<double> x = engine_.structural_solution();
     const Index branch_var = pick_branch_var(x);
     if (branch_var == lp::kInvalidIndex) {
       // Integral: candidate incumbent.
@@ -570,8 +567,8 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     const bool up_first = frac > 0.5;
 
     const BoundChange up{branch_var, floor_v + 1.0,
-                         engine_->column_ub(branch_var)};
-    const BoundChange down{branch_var, engine_->column_lb(branch_var),
+                         engine_.column_ub(branch_var)};
+    const BoundChange down{branch_var, engine_.column_lb(branch_var),
                            floor_v};
     const BoundChange& follow = up_first ? up : down;
     const BoundChange& defer = up_first ? down : up;
@@ -593,12 +590,12 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     std::shared_ptr<const lp::Basis> defer_basis;
     if (s_.options_.max_stored_bases > 0) {
       defer_basis =
-          std::make_shared<const lp::Basis>(engine_->snapshot_basis());
+          std::make_shared<const lp::Basis>(engine_.snapshot_basis());
     }
     s_.push_open(node_bound, std::move(defer_data), std::move(defer_basis));
 
-    engine_->set_column_bounds(branch_var, follow.lb, follow.ub);
-    engine_->refresh_basic_solution();
+    engine_.set_column_bounds(branch_var, follow.lb, follow.ub);
+    engine_.refresh_basic_solution();
 
     pending_var = branch_var;
     pending_up = up_first;
@@ -770,7 +767,7 @@ MipResult Search::run() {
   // model every worker will share.
   std::int64_t root_refactorizations = 0;
   {
-    auto root_engine = lp::make_lp_backend(options_.lp_engine, *sf_);
+    auto root_engine = std::make_unique<lp::SimplexEngine>(*sf_);
     for (int round = 0; round < options_.max_cut_rounds; ++round) {
       if (limits_hit()) break;
       if (options_.progress) {
@@ -857,7 +854,7 @@ MipResult Search::run() {
       result_.lp_work_units += root_engine->stats().work_units;
       sf_ =
           std::make_unique<lp::StandardForm>(lp::StandardForm::build(working_));
-      root_engine = lp::make_lp_backend(options_.lp_engine, *sf_);
+      root_engine = std::make_unique<lp::SimplexEngine>(*sf_);
     }
     root_refactorizations += root_engine->stats().refactorizations;
     result_.lp_work_units += root_engine->stats().work_units;

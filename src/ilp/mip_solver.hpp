@@ -33,8 +33,8 @@
 #include <optional>
 #include <vector>
 
-#include "lp/lp_backend.hpp"
 #include "lp/model.hpp"
+#include "lp/simplex.hpp"
 #include "lp/types.hpp"
 #include "support/cancellation.hpp"
 
@@ -59,12 +59,9 @@ struct MipOptions {
   double rel_gap = 1e-4;
   double abs_gap = 1e-9;
   bool use_presolve = true;
+  /// Options for every node relaxation's lp::SimplexEngine (root cut
+  /// loop and all branch-and-bound workers alike).
   lp::SimplexOptions simplex;
-  /// Which LP engine every node relaxation runs on (root cut loop and
-  /// all branch-and-bound workers alike).  Both backends prove the same
-  /// objectives — see lp::LpBackend — so this is purely a speed knob:
-  /// kSparse makes per-pivot cost scale with nonzeros instead of rows^2.
-  lp::LpEngine lp_engine = lp::LpEngine::kDense;
   /// Rounds of root-node cut separation (0 = off).  Each round separates
   /// lifted knapsack cover cuts, clique cuts from `conflict_cliques`,
   /// and (with an incumbent) applies reduced-cost bound fixing.  The
@@ -154,8 +151,7 @@ struct MipResult {
   std::int64_t lp_iterations = 0;
   std::int64_t simplex_refactorizations = 0;
   /// Arithmetic work units spent inside the LP engines (root + all
-  /// workers); see lp::SimplexStats::work_units.  The dense-vs-sparse
-  /// A/B in bench_09 gates on this, not on wall time.
+  /// workers); see lp::SimplexStats::work_units.
   std::int64_t lp_work_units = 0;
   std::int64_t cover_cuts = 0;   // lifted cover cuts added at the root
   std::int64_t clique_cuts = 0;  // conflict-clique cuts added at the root

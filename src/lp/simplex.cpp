@@ -25,9 +25,54 @@ constexpr double kReplacePivotTol = 1e-7;
 
 bool is_nonbasic(VStat s) { return s != VStat::kBasic; }
 
+/// Nonbasic status that keeps a basis DUAL feasible for reduced cost `d`
+/// under working bounds [lb, ub] (d >= 0 wants the lower bound, d < 0
+/// the upper; one-sided bounds force the side).
+VStat dual_feasible_status(double d, double lb, double ub) {
+  if (lb == ub) return VStat::kFixed;
+  if (lb > -kInf && ub < kInf) {
+    return d >= 0.0 ? VStat::kAtLower : VStat::kAtUpper;
+  }
+  if (lb > -kInf) return VStat::kAtLower;
+  if (ub < kInf) return VStat::kAtUpper;
+  return VStat::kFree;
+}
+
+/// Normalize one loaded-snapshot status against working bounds: keep the
+/// snapshot's status whenever the bound it references still exists.
+VStat normalize_loaded_status(VStat status, double lb, double ub) {
+  switch (status) {
+    case VStat::kBasic:
+      break;
+    case VStat::kFixed:
+      if (lb != ub) {
+        return lb > -kInf ? VStat::kAtLower : VStat::kAtUpper;
+      }
+      break;
+    case VStat::kAtLower:
+      if (lb == ub) return VStat::kFixed;
+      if (lb <= -kInf) {
+        return ub < kInf ? VStat::kAtUpper : VStat::kFree;
+      }
+      break;
+    case VStat::kAtUpper:
+      if (lb == ub) return VStat::kFixed;
+      if (ub >= kInf) {
+        return lb > -kInf ? VStat::kAtLower : VStat::kFree;
+      }
+      break;
+    case VStat::kFree:
+      if (lb > -kInf || ub < kInf) {
+        return lb > -kInf ? VStat::kAtLower : VStat::kAtUpper;
+      }
+      break;
+  }
+  return status;
+}
+
 }  // namespace
 
-DenseTableauBackend::DenseTableauBackend(const StandardForm& sf)
+SimplexEngine::SimplexEngine(const StandardForm& sf)
     : sf_(sf), m_(sf.num_rows), n_(sf.num_cols()) {
   lb_ = sf_.lb;
   ub_ = sf_.ub;
@@ -42,7 +87,7 @@ DenseTableauBackend::DenseTableauBackend(const StandardForm& sf)
   reset_to_logical_basis();
 }
 
-void DenseTableauBackend::set_column_bounds(Index j, double lb, double ub) {
+void SimplexEngine::set_column_bounds(Index j, double lb, double ub) {
   GMM_ASSERT(!(lb > ub), "set_column_bounds with lb > ub");
   if (stat_[j] == VStat::kBasic) {
     // x_B does not depend on a basic column's own bounds: nothing to
@@ -59,11 +104,11 @@ void DenseTableauBackend::set_column_bounds(Index j, double lb, double ub) {
   // warm-start the dual simplex from whatever basis the engine holds.
   // d_ is maintained across every pivot for ALL nonbasic columns, fixed
   // ones included, precisely so this is valid.
-  stat_[j] = detail::dual_feasible_status(d_[j], lb, ub);
+  stat_[j] = dual_feasible_status(d_[j], lb, ub);
   if (nonbasic_value(j) != before) xb_stale_ = true;
 }
 
-void DenseTableauBackend::reset_bounds() {
+void SimplexEngine::reset_bounds() {
   for (Index j = 0; j < n_; ++j) {
     if (stat_[j] == VStat::kBasic) {
       lb_[j] = sf_.lb[j];
@@ -74,7 +119,7 @@ void DenseTableauBackend::reset_bounds() {
   }
 }
 
-double DenseTableauBackend::nonbasic_value(Index j) const {
+double SimplexEngine::nonbasic_value(Index j) const {
   switch (stat_[j]) {
     case VStat::kAtLower:
     case VStat::kFixed:
@@ -90,7 +135,7 @@ double DenseTableauBackend::nonbasic_value(Index j) const {
   return 0.0;
 }
 
-void DenseTableauBackend::reset_to_logical_basis() {
+void SimplexEngine::reset_to_logical_basis() {
   for (Index i = 0; i < m_; ++i) basis_[i] = sf_.num_structural + i;
   for (Index j = 0; j < n_; ++j) {
     if (sf_.is_logical(j)) {
@@ -125,7 +170,7 @@ void DenseTableauBackend::reset_to_logical_basis() {
   compute_duals();
 }
 
-void DenseTableauBackend::load_basis(const Basis& basis) {
+void SimplexEngine::load_basis(const Basis& basis) {
   GMM_ASSERT(basis.basic_in_row.size() == static_cast<std::size_t>(m_) &&
                  basis.status.size() == static_cast<std::size_t>(n_),
              "basis snapshot does not match this standard form");
@@ -133,12 +178,13 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
   // Normalize nonbasic statuses against the working bounds: keep the
   // snapshot's status whenever the bound it references still exists.
   for (Index j = 0; j < n_; ++j) {
-    stat_[j] = detail::normalize_loaded_status(stat_[j], lb_[j], ub_[j]);
+    stat_[j] = normalize_loaded_status(stat_[j], lb_[j], ub_[j]);
   }
   if (GMM_FAULT("lp.basis_load", "corrupt")) {
-    // Injected snapshot corruption (see SparseSimplexBackend::load_basis):
-    // flip doubly-bounded nonbasic columns to their other bound so the
-    // dual repair below runs against a genuinely corrupted snapshot.
+    // Injected snapshot corruption: flip every doubly-bounded nonbasic
+    // column to its other bound.  Still a structurally valid basis, but
+    // (generally) dual infeasible, so the dual repair below and its cold
+    // logical-basis fallback run against a genuinely corrupted snapshot.
     for (Index j = 0; j < n_; ++j) {
       if (stat_[j] == VStat::kAtLower && ub_[j] < kInf) {
         stat_[j] = VStat::kAtUpper;
@@ -151,18 +197,22 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
     basis_ = basis.basic_in_row;
     refactorize();
   }
+  // A snapshot taken on this engine's own parent node is dual feasible by
+  // construction (bounds don't enter the duals), but a basis loaded from
+  // elsewhere — a different LP of the same shape, or a snapshot whose
+  // nonbasic sides a long bound path invalidated — may put a column on
+  // the bound its reduced cost argues against.
+  restore_dual_feasibility();
+}
+
+void SimplexEngine::restore_dual_feasibility() {
   compute_duals();
-  // Repair DUAL feasibility.  A snapshot taken on this engine's own
-  // parent node is dual feasible by construction (bounds don't enter the
-  // duals), but a basis loaded from elsewhere — a different LP of the
-  // same shape, or a snapshot whose nonbasic sides a long bound path
-  // invalidated — may put a column on the bound its reduced cost argues
-  // against.  Flipping such a column to its other finite bound restores
-  // the dual-simplex entry contract without touching the duals (they
-  // depend only on the basic set).  A column that cannot be flipped
-  // (wrong-sign reduced cost with no opposite finite bound) admits no
-  // cheap repair: fall back to the all-logical basis, which is always a
-  // valid cold start — degraded, never wrong.
+  // Flipping a column to its other finite bound restores the dual-simplex
+  // entry contract without touching the duals (they depend only on the
+  // basic set).  A column that cannot be flipped (wrong-sign reduced cost
+  // with no opposite finite bound) admits no cheap repair: fall back to
+  // the all-logical basis, which is always a valid cold start — degraded,
+  // never wrong.
   for (Index j = 0; j < n_; ++j) {
     switch (stat_[j]) {
       case VStat::kBasic:
@@ -199,7 +249,7 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
   recompute_basic_solution();
 }
 
-bool DenseTableauBackend::replace_basis_columns(
+bool SimplexEngine::replace_basis_columns(
     const std::vector<Index>& target) {
   // Row of every currently basic column; -1 for nonbasic ones.
   col_row_.assign(n_, -1);
@@ -271,13 +321,13 @@ bool DenseTableauBackend::replace_basis_columns(
   return true;
 }
 
-Basis DenseTableauBackend::snapshot_basis() const { return Basis{basis_, stat_}; }
+Basis SimplexEngine::snapshot_basis() const { return Basis{basis_, stat_}; }
 
-void DenseTableauBackend::refresh_basic_solution() {
+void SimplexEngine::refresh_basic_solution() {
   if (xb_stale_) recompute_basic_solution();
 }
 
-void DenseTableauBackend::recompute_basic_solution() {
+void SimplexEngine::recompute_basic_solution() {
   // x_B = -B^{-1} * sum_j(A_j * value_j) over nonbasic columns with
   // nonzero value.
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
@@ -302,7 +352,7 @@ void DenseTableauBackend::recompute_basic_solution() {
   xb_stale_ = false;
 }
 
-void DenseTableauBackend::ftran(Index j, std::vector<double>& w) const {
+void SimplexEngine::ftran(Index j, std::vector<double>& w) const {
   std::fill(w.begin(), w.end(), 0.0);
   if (sf_.is_logical(j)) {
     const Index r = sf_.logical_row(j);
@@ -320,7 +370,7 @@ void DenseTableauBackend::ftran(Index j, std::vector<double>& w) const {
   }
 }
 
-double DenseTableauBackend::column_dot(const double* rho, Index j) const {
+double SimplexEngine::column_dot(const double* rho, Index j) const {
   if (sf_.is_logical(j)) return rho[sf_.logical_row(j)];
   double acc = 0.0;
   for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
@@ -329,13 +379,26 @@ double DenseTableauBackend::column_dot(const double* rho, Index j) const {
   return acc;
 }
 
-void DenseTableauBackend::refactorize() {
+bool SimplexEngine::refactorize() {
   ++stats_.refactorizations;
   // Gauss-Jordan on [B | I] touches ~m^3 multiply-adds regardless of
-  // sparsity — the cost the sparse backend's LU exists to avoid.
+  // sparsity.
   stats_.work_units +=
       static_cast<std::int64_t>(m_) * m_ * m_;
   pivots_since_refactor_ = 0;
+  // Injected singularity: the first structural basic column reads as all
+  // zeros on the first attempt, forcing one trip through the eviction and
+  // repair path a genuinely dependent column takes.  (A structural column
+  // is always evictable: a still-unpivoted row's logical is nonbasic.)
+  Index sabotaged_col = -1;
+  if (GMM_FAULT("lu.refactor", "singular")) {
+    for (Index c = 0; c < m_; ++c) {
+      if (!sf_.is_logical(basis_[c])) {
+        sabotaged_col = c;
+        break;
+      }
+    }
+  }
   const std::size_t mm = static_cast<std::size_t>(m_) * m_;
   work_b_.assign(mm, 0.0);
   // Assemble B column-by-column into a dense row-major matrix.
@@ -363,6 +426,11 @@ void DenseTableauBackend::refactorize() {
       binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
     }
     std::vector<double> lhs(work_b_);
+    if (attempt == 0 && sabotaged_col >= 0) {
+      for (Index i = 0; i < m_; ++i) {
+        lhs[static_cast<std::size_t>(i) * m_ + sabotaged_col] = 0.0;
+      }
+    }
     std::vector<Index> row_origin(m_);
     for (Index i = 0; i < m_; ++i) row_origin[i] = i;
     bool repaired = false;
@@ -452,12 +520,26 @@ void DenseTableauBackend::refactorize() {
         }
       }
     }
-    if (!repaired) return;  // success
+    // Success; every attempt after the first follows a repair.
+    if (!repaired) return attempt > 0;
   }
   GMM_ASSERT(false, "refactorize: repeated basis repair did not converge");
+  return true;
 }
 
-void DenseTableauBackend::compute_duals() {
+void SimplexEngine::refactorize_in_solve() {
+  if (refactorize()) {
+    // The repair evicted a column to a bound its reduced cost may argue
+    // against; pivoting on from there could stop "optimal" at the wrong
+    // vertex.
+    restore_dual_feasibility();
+    return;
+  }
+  recompute_basic_solution();
+  compute_duals();
+}
+
+void SimplexEngine::compute_duals() {
   // y = c_B^T B^{-1}, accumulated row-wise over basic columns with
   // nonzero cost; then d_j = c_j - y . A_j.
   std::vector<double> y(m_, 0.0);
@@ -476,7 +558,7 @@ void DenseTableauBackend::compute_duals() {
   }
 }
 
-void DenseTableauBackend::update_inverse(Index r, double pivot) {
+void SimplexEngine::update_inverse(Index r, double pivot) {
   // Product-form update of the explicit inverse for the column w_ = B^{-1}
   // a_q entering row r (pivot = w_r, or the pivot row's alpha_q):
   //   row_r /= pivot;   row_i -= w_i * row_r (i != r).
@@ -492,7 +574,7 @@ void DenseTableauBackend::update_inverse(Index r, double pivot) {
   }
 }
 
-DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
+SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
   // ---- 1. leaving row -------------------------------------------------
   // Normal mode: the largest bound violation, with a deterministic scan
   // rotation to vary tie-breaks.  Bland mode: the violated row whose
@@ -657,14 +739,13 @@ DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
   ++stats_.iterations;
   // Work accounting: the pivot row touched every structural nonzero plus
   // the logicals, and the FTRAN + explicit-inverse + x_B updates each
-  // swept dense length-m rows — the m^2 term the sparse engine exists to
-  // shrink.
+  // swept dense length-m rows.
   stats_.work_units += static_cast<std::int64_t>(sf_.value.size()) + m_ +
                        2 * static_cast<std::int64_t>(m_) * m_;
   return PivotResult::kPivoted;
 }
 
-SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
+SolveStatus SimplexEngine::solve(const SimplexOptions& options) {
   support::WallTimer timer;
   stall_threshold_ = options.stall_threshold;
   refactor_interval_ = options.refactor_interval;
@@ -679,9 +760,7 @@ SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
       return SolveStatus::kTimeLimit;
     }
     if (pivots_since_refactor_ >= options.refactor_interval) {
-      refactorize();
-      recompute_basic_solution();
-      compute_duals();
+      refactorize_in_solve();
     }
     switch (dual_pivot()) {
       case PivotResult::kOptimal:
@@ -694,15 +773,13 @@ SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
         break;
       case PivotResult::kNumerical:
         if (++numerical_retries > 3) return SolveStatus::kNumericalFailure;
-        refactorize();
-        recompute_basic_solution();
-        compute_duals();
+        refactorize_in_solve();
         break;
     }
   }
 }
 
-double DenseTableauBackend::objective_value() const {
+double SimplexEngine::objective_value() const {
   double obj = 0.0;
   for (Index i = 0; i < m_; ++i) obj += sf_.cost[basis_[i]] * xb_[i];
   for (Index j = 0; j < n_; ++j) {
@@ -713,7 +790,7 @@ double DenseTableauBackend::objective_value() const {
   return obj;
 }
 
-double DenseTableauBackend::column_value(Index j) const {
+double SimplexEngine::column_value(Index j) const {
   if (stat_[j] == VStat::kBasic) {
     for (Index i = 0; i < m_; ++i) {
       if (basis_[i] == j) return xb_[i];
@@ -723,7 +800,7 @@ double DenseTableauBackend::column_value(Index j) const {
   return nonbasic_value(j);
 }
 
-std::vector<double> DenseTableauBackend::structural_solution() const {
+std::vector<double> SimplexEngine::structural_solution() const {
   std::vector<double> x(sf_.num_structural);
   for (Index j = 0; j < sf_.num_structural; ++j) {
     x[j] = stat_[j] == VStat::kBasic ? 0.0 : nonbasic_value(j);

@@ -1,6 +1,6 @@
 // Bounded-variable revised simplex with an explicit basis inverse — the
-// dense LpBackend implementation (and the differential-testing oracle
-// for the sparse one; see lp/lp_backend.hpp).
+// LP engine behind every relaxation in the project: the one-call facade
+// (lp/solver.hpp), the root cut loop and every branch-and-bound worker.
 //
 // The engine implements the DUAL simplex as its workhorse.  Rationale: in
 // this project every LP is either (a) a fresh relaxation whose variables
@@ -15,7 +15,10 @@
 // Numerical strategy: dense explicit B^{-1} (row-major) with product-form
 // row updates per pivot, periodic Gauss-Jordan refactorization with
 // partial pivoting and singular-basis repair, Harris-style two-pass dual
-// ratio test picking the largest eligible pivot magnitude.
+// ratio test picking the largest eligible pivot magnitude.  A repair puts
+// the evicted column at a bound regardless of its reduced cost, so every
+// refactorization that repaired the basis — on a load or inside solve()
+// — is followed by the same dual repair a loaded snapshot gets.
 //
 // Loading a branch-and-bound snapshot reuses the inverse the engine
 // already holds: each snapshot column that is not basic yet is pivoted in
@@ -42,34 +45,55 @@
 // (equally valid trees, same proved optima).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lp/basis.hpp"
-#include "lp/lp_backend.hpp"
 #include "lp/standard_form.hpp"
 #include "lp/types.hpp"
 
 namespace gmm::lp {
 
-class DenseTableauBackend final : public LpBackend {
+struct SimplexOptions {
+  std::int64_t iteration_limit = 200'000;
+  double time_limit_seconds = kInf;  // wall clock for one solve() call
+  int refactor_interval = 128;       // pivots between refactorizations
+  /// Degenerate-pivot streak (zero dual step in the ratio test) after
+  /// which the engine falls back to Bland's smallest-index anti-cycling
+  /// rules until a real step happens.  The effective threshold is
+  /// max(stall_threshold, m/2) so large models are not punished for
+  /// ordinary degeneracy.
+  int stall_threshold = 200;
+};
+
+struct SimplexStats {
+  std::int64_t iterations = 0;        // dual pivots, cumulative
+  std::int64_t refactorizations = 0;  // basis (re)factorizations, cumulative
+  /// Arithmetic work proxy: inner-loop multiply-adds the engine performed
+  /// (m^2 per pivot or load swap, m^3 per refactorization), so solver
+  /// effort compares across machines where wall time does not.
+  std::int64_t work_units = 0;
+};
+
+class SimplexEngine {
  public:
   /// The engine keeps a reference to `sf`; it must outlive the engine.
-  explicit DenseTableauBackend(const StandardForm& sf);
+  explicit SimplexEngine(const StandardForm& sf);
 
   // ---- bounds (branch & bound interface) ----------------------------
   /// Override the working bounds of a column.  Call refresh_basic_solution()
   /// after a batch of changes and before solve().
-  void set_column_bounds(Index j, double lb, double ub) override;
+  void set_column_bounds(Index j, double lb, double ub);
   /// Restore all working bounds from the standard form.
-  void reset_bounds() override;
-  [[nodiscard]] double column_lb(Index j) const override { return lb_[j]; }
-  [[nodiscard]] double column_ub(Index j) const override { return ub_[j]; }
+  void reset_bounds();
+  [[nodiscard]] double column_lb(Index j) const { return lb_[j]; }
+  [[nodiscard]] double column_ub(Index j) const { return ub_[j]; }
 
   // ---- basis management ---------------------------------------------
   /// All logicals basic; structurals nonbasic at the bound their cost
   /// prefers.  Dual feasible for any model where each structural variable
   /// has a finite bound on the side its cost pushes toward.
-  void reset_to_logical_basis() override;
+  void reset_to_logical_basis();
   /// Restore a snapshot taken on the same standard form (asserts the
   /// shapes match).  Nonbasic statuses are normalized against the current
   /// working bounds, then repaired to DUAL feasibility: columns sitting on
@@ -79,37 +103,46 @@ class DenseTableauBackend final : public LpBackend {
   /// the all-logical cold basis — loading a foreign or stale basis can
   /// cost pivots, never correctness.  A snapshot close to the current
   /// basis is reached by column replacement (see the file comment).
-  void load_basis(const Basis& basis) override;
-  [[nodiscard]] Basis snapshot_basis() const override;
+  void load_basis(const Basis& basis);
+  [[nodiscard]] Basis snapshot_basis() const;
 
   /// Bring x_B up to date with the current bounds + basis.  A no-op when
   /// no nonbasic value changed since x_B was last computed.
-  void refresh_basic_solution() override;
+  void refresh_basic_solution();
 
   // ---- solving -------------------------------------------------------
   /// Run dual simplex to optimality (primal feasibility).  The basis must
   /// already be dual feasible, which holds in all supported entry paths.
-  SolveStatus solve(const SimplexOptions& options) override;
+  SolveStatus solve(const SimplexOptions& options);
 
   // ---- solution access ------------------------------------------------
-  [[nodiscard]] double objective_value() const override;
+  [[nodiscard]] double objective_value() const;
   /// Value of any column (structural or logical) at the current basis.
-  [[nodiscard]] double column_value(Index j) const override;
+  [[nodiscard]] double column_value(Index j) const;
   /// Values of the structural columns only.
-  [[nodiscard]] std::vector<double> structural_solution() const override;
+  [[nodiscard]] std::vector<double> structural_solution() const;
   /// Reduced cost of a column (valid after solve()).
-  [[nodiscard]] double reduced_cost(Index j) const override { return d_[j]; }
-  [[nodiscard]] VStat column_status(Index j) const override {
-    return stat_[j];
-  }
-  [[nodiscard]] const SimplexStats& stats() const override { return stats_; }
+  [[nodiscard]] double reduced_cost(Index j) const { return d_[j]; }
+  [[nodiscard]] VStat column_status(Index j) const { return stat_[j]; }
+  [[nodiscard]] const SimplexStats& stats() const { return stats_; }
 
  private:
   // Dense pivot-row / FTRAN helpers.
   void ftran(Index j, std::vector<double>& w) const;  // w = B^{-1} A_j
   double column_dot(const double* rho, Index j) const;  // rho . A_j
 
-  void refactorize();
+  /// Gauss-Jordan B^{-1} of the current basic set; true when a dependent
+  /// column had to be evicted for a logical (the basis changed).
+  bool refactorize();
+  /// Refactorize inside solve() and bring x_B and the duals up to date,
+  /// repairing dual feasibility when the refactorization repaired the
+  /// basis.
+  void refactorize_in_solve();
+  /// Recompute the duals for the current basic set, flip every nonbasic
+  /// column whose reduced cost argues against its bound to the other
+  /// finite bound, and recompute x_B; fall back to the all-logical basis
+  /// when some column cannot be flipped.
+  void restore_dual_feasibility();
   /// Reach the basic set `target` (basic column per row) from the current
   /// basis by column replacement, leaving B^{-1} in target's row order.
   /// False when refactorize() must do it instead: too many changes, a
@@ -159,9 +192,5 @@ class DenseTableauBackend final : public LpBackend {
   bool bland_mode_ = false;
   SimplexStats stats_;
 };
-
-/// Historical name of the dense engine, kept for existing call sites and
-/// tests; new code should hold an LpBackend from make_lp_backend().
-using SimplexEngine = DenseTableauBackend;
 
 }  // namespace gmm::lp

@@ -21,23 +21,23 @@ LpResult solve_lp(const Model& model, const LpOptions& options) {
       return result;
     }
     const StandardForm sf = StandardForm::build(pre.reduced);
-    const auto engine = make_lp_backend(options.engine, sf);
-    result.status = engine->solve(options.simplex);
-    result.stats = engine->stats();
+    SimplexEngine engine(sf);
+    result.status = engine.solve(options.simplex);
+    result.stats = engine.stats();
     if (result.status == SolveStatus::kOptimal) {
-      result.x = postsolve(pre, engine->structural_solution());
-      result.objective = engine->objective_value() + pre.objective_offset;
+      result.x = postsolve(pre, engine.structural_solution());
+      result.objective = engine.objective_value() + pre.objective_offset;
     }
     return result;
   }
 
   const StandardForm sf = StandardForm::build(model);
-  const auto engine = make_lp_backend(options.engine, sf);
-  result.status = engine->solve(options.simplex);
-  result.stats = engine->stats();
+  SimplexEngine engine(sf);
+  result.status = engine.solve(options.simplex);
+  result.stats = engine.stats();
   if (result.status == SolveStatus::kOptimal) {
-    result.x = engine->structural_solution();
-    result.objective = engine->objective_value();
+    result.x = engine.structural_solution();
+    result.objective = engine.objective_value();
   }
   return result;
 }

@@ -6,8 +6,8 @@
 
 #include <vector>
 
-#include "lp/lp_backend.hpp"
 #include "lp/model.hpp"
+#include "lp/simplex.hpp"
 #include "lp/types.hpp"
 
 namespace gmm::lp {
@@ -15,7 +15,6 @@ namespace gmm::lp {
 struct LpOptions {
   SimplexOptions simplex;
   bool use_presolve = true;
-  LpEngine engine = LpEngine::kDense;
 };
 
 struct LpResult {

@@ -69,8 +69,8 @@ struct SolveEffort {
   std::int64_t bnb_nodes = 0;
   std::int64_t lp_iterations = 0;
   /// LP basis refactorizations across the root cut loop and every
-  /// branch-and-bound worker — the dominant per-engine cost the sparse
-  /// backend exists to shrink, surfaced end-to-end for the serving stats.
+  /// branch-and-bound worker (O(m^3) each), surfaced end-to-end for the
+  /// serving stats.
   std::int64_t lp_refactorizations = 0;
   /// Branch & bound basis warm-start cache counters, cumulative over the
   /// solves behind this result (the pipeline's retry loop sums them).

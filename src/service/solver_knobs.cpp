@@ -74,7 +74,7 @@ bool parse_solver_knobs(const Json& request, SolverKnobs& out,
     (void)value;
     if (key != "gap" && key != "max_nodes" && key != "time_limit_ms" &&
         key != "threads" && key != "max_stored_bases" && key != "no_cache" &&
-        key != "lanes" && key != "lp_engine") {
+        key != "lanes") {
       reject_reason = "unknown solver knob '" + key + "' in 'options'";
       return false;
     }
@@ -123,16 +123,6 @@ bool parse_solver_knobs(const Json& request, SolverKnobs& out,
     return false;
   }
   if (present) out.lanes = static_cast<int>(lanes);
-  const Json* lp_engine = options->find("lp_engine");
-  if (lp_engine != nullptr) {
-    lp::LpEngine parsed = lp::LpEngine::kDense;
-    if (!lp_engine->is_string() ||
-        !lp::parse_lp_engine(lp_engine->as_string(), parsed)) {
-      reject_reason = "'lp_engine' must be \"dense\" or \"sparse\"";
-      return false;
-    }
-    out.lp_engine = lp_engine->as_string();
-  }
   return true;
 }
 
@@ -155,14 +145,6 @@ void apply_solver_knobs(const SolverKnobs& knobs, int max_threads_per_solve,
   mip.num_threads =
       std::min(knobs.threads <= 0 ? max_threads_per_solve : knobs.threads,
                max_threads_per_solve);
-  if (!knobs.lp_engine.empty()) {
-    // Parse failure is impossible for knobs the wire parser admitted;
-    // a programmatic typo keeps the default rather than crashing.
-    lp::LpEngine engine = mip.lp_engine;
-    if (lp::parse_lp_engine(knobs.lp_engine, engine)) {
-      mip.lp_engine = engine;
-    }
-  }
 }
 
 Json solver_knobs_to_json(const SolverKnobs& knobs) {
@@ -176,7 +158,6 @@ Json solver_knobs_to_json(const SolverKnobs& knobs) {
   }
   if (knobs.no_cache) object["no_cache"] = true;
   if (knobs.lanes >= 1) object["lanes"] = knobs.lanes;
-  if (!knobs.lp_engine.empty()) object["lp_engine"] = knobs.lp_engine;
   return Json(std::move(object));
 }
 

@@ -54,12 +54,6 @@ struct SolverKnobs {
   /// cold, never insert the result.  A service-layer knob — it does not
   /// touch MipOptions (apply_solver_knobs ignores it).
   bool no_cache = false;
-  /// LP engine for every node relaxation: "" (unset — keep MipOptions'
-  /// default, dense), "dense", or "sparse".  Anything else is rejected
-  /// with a message naming the knob, like every other knob.  Purely a
-  /// speed control: both engines prove identical objectives (see
-  /// lp::LpBackend), so it never changes the answer's quality contract.
-  std::string lp_engine;
   /// Portfolio lane count for the "portfolio" formulation, in
   /// [1, kMaxLanes].  Rejected (not clamped) out of range; ignored by
   /// the other formulations.  A service-layer knob — apply_solver_knobs

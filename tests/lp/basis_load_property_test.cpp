@@ -1,4 +1,4 @@
-// Property tests for the dense engine's snapshot load (300 seeds per
+// Property tests for the LP engine's snapshot load (300 seeds per
 // property).  An engine sitting at the optimum of one bound path loads a
 // snapshot taken on another path; it must end on the same basis (row
 // order included) as a fresh engine loading the same snapshot under the
@@ -90,7 +90,7 @@ std::vector<Change> random_path(support::Rng& rng, int vars, int length) {
   return path;
 }
 
-void apply_path(DenseTableauBackend& engine, const std::vector<Change>& path) {
+void apply_path(SimplexEngine& engine, const std::vector<Change>& path) {
   for (const Change& c : path) engine.set_column_bounds(c.var, c.lb, c.ub);
   engine.refresh_basic_solution();
 }
@@ -112,8 +112,8 @@ SimplexOptions no_cadence() {
   return options;
 }
 
-void expect_same_outcome(DenseTableauBackend& used,
-                         DenseTableauBackend& fresh, Index structurals,
+void expect_same_outcome(SimplexEngine& used,
+                         SimplexEngine& fresh, Index structurals,
                          std::uint64_t seed) {
   const SolveStatus used_status = used.solve(no_cadence());
   const SolveStatus fresh_status = fresh.solve(no_cadence());
@@ -144,10 +144,10 @@ std::optional<LoadCase> run_load_case(const StandardForm& sf,
                                       const std::vector<Change>& p2,
                                       const std::vector<Change>& p3,
                                       std::uint64_t seed, Edit edit) {
-  DenseTableauBackend used(sf);
+  SimplexEngine used(sf);
   apply_path(used, p1);
   if (used.solve(no_cadence()) != SolveStatus::kOptimal) return std::nullopt;
-  DenseTableauBackend donor(sf);
+  SimplexEngine donor(sf);
   apply_path(donor, p2);
   if (donor.solve(no_cadence()) != SolveStatus::kOptimal) return std::nullopt;
   Basis snapshot = donor.snapshot_basis();
@@ -155,7 +155,7 @@ std::optional<LoadCase> run_load_case(const StandardForm& sf,
 
   used.reset_bounds();
   apply_path(used, p3);
-  DenseTableauBackend fresh(sf);
+  SimplexEngine fresh(sf);
   apply_path(fresh, p3);
 
   LoadCase result;
@@ -223,10 +223,10 @@ TEST(BasisLoadProperty, LoadSwapsCountTowardRefactorCadence) {
     }
 
     // A probe learns how many pivots the engine's first solve takes.
-    DenseTableauBackend probe(sf);
+    SimplexEngine probe(sf);
     ASSERT_EQ(probe.solve(no_cadence()), SolveStatus::kOptimal);
     const Basis own = probe.snapshot_basis();
-    DenseTableauBackend donor(sf);
+    SimplexEngine donor(sf);
     apply_path(donor, down);
     ASSERT_EQ(donor.solve(no_cadence()), SolveStatus::kOptimal);
     const Basis other = donor.snapshot_basis();
@@ -237,7 +237,7 @@ TEST(BasisLoadProperty, LoadSwapsCountTowardRefactorCadence) {
     // Same solve with the cadence set one pivot past the first load: the
     // load to `other` is reached by replacement, and the load back to
     // `own` (as many swaps again) must find the cadence due.
-    DenseTableauBackend engine(sf);
+    SimplexEngine engine(sf);
     SimplexOptions options;
     options.refactor_interval =
         static_cast<int>(probe.stats().iterations) + changes + 1;
@@ -356,7 +356,7 @@ TEST(BasisLoadProperty, CorruptedLoadsStillMatchFreshEngine) {
 
 /// First structural column with the given basic-ness (a basic one must sit
 /// strictly inside (1, 9)), or kInvalidIndex.
-Index find_column(const DenseTableauBackend& engine, Index structurals,
+Index find_column(const SimplexEngine& engine, Index structurals,
                   bool basic) {
   for (Index j = 0; j < structurals; ++j) {
     const bool is_basic = engine.column_status(j) == VStat::kBasic;
@@ -369,8 +369,8 @@ Index find_column(const DenseTableauBackend& engine, Index structurals,
 /// Column values of an engine that rebuilt x_B from scratch for the same
 /// bounds and basis.
 std::vector<double> recomputed_values(const StandardForm& sf,
-                                      const DenseTableauBackend& engine) {
-  DenseTableauBackend oracle(sf);
+                                      const SimplexEngine& engine) {
+  SimplexEngine oracle(sf);
   for (Index j = 0; j < sf.num_cols(); ++j) {
     oracle.set_column_bounds(j, engine.column_lb(j), engine.column_ub(j));
   }
@@ -385,7 +385,7 @@ TEST(RefreshBasicSolution, BasicColumnBoundChangeLeavesXUnchanged) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     const Model model = random_packing_lp(seed * 49979687);
     const StandardForm sf = StandardForm::build(model);
-    DenseTableauBackend engine(sf);
+    SimplexEngine engine(sf);
     ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const Index j = find_column(engine, sf.num_structural, true);
     if (j == kInvalidIndex) continue;
@@ -417,7 +417,7 @@ TEST(RefreshBasicSolution, NonbasicBoundChangeMatchesFullRecompute) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     const Model model = random_packing_lp(seed * 86028121);
     const StandardForm sf = StandardForm::build(model);
-    DenseTableauBackend engine(sf);
+    SimplexEngine engine(sf);
     ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const Index j = find_column(engine, sf.num_structural, false);
     if (j == kInvalidIndex) continue;
@@ -439,7 +439,7 @@ TEST(RefreshBasicSolution, NonbasicBoundChangeMatchesFullRecompute) {
           << "seed " << seed << " column " << k;
     }
     // And the re-solve from there matches a cold solve of the same bounds.
-    DenseTableauBackend cold(sf);
+    SimplexEngine cold(sf);
     cold.set_column_bounds(j, engine.column_lb(j), engine.column_ub(j));
     cold.refresh_basic_solution();
     const SolveStatus status = engine.solve({});

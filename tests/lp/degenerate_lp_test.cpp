@@ -1,22 +1,18 @@
-// Anti-cycling regression on known-degenerate instances, for BOTH
-// backends.
+// Anti-cycling regression on known-degenerate instances.
 //
 // The covering LP below (min sum x, every pair {i, i+1} must sum to at
 // least 1, all data 0/1) has massively tied ratio tests and degenerate
 // vertices — the classic food for simplex cycling.  With
-// SimplexOptions::stall_threshold = 0 the engines enter Bland's
-// smallest-index mode on the FIRST zero-dual-step pivot and stay there
+// SimplexOptions::stall_threshold = 0 the engine enters Bland's
+// smallest-index mode on the FIRST zero-dual-step pivot and stays there
 // until a real step, so the solve must still terminate at the optimum;
 // with the default threshold the same optimum must be reached.  The
 // point of forcing threshold 0 is that the Bland path itself — not just
 // the Harris path — is exercised end to end on a degenerate instance.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <memory>
-
-#include "lp/lp_backend.hpp"
 #include "lp/model.hpp"
+#include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
 
 namespace gmm::lp {
@@ -38,25 +34,23 @@ Model degenerate_ring_cover(int n) {
   return model;
 }
 
-class DegenerateLpTest : public ::testing::TestWithParam<LpEngine> {};
-
-TEST_P(DegenerateLpTest, BlandModeFromFirstStallStillSolvesRingCover) {
+TEST(DegenerateLpTest, BlandModeFromFirstStallStillSolvesRingCover) {
   const Model model = degenerate_ring_cover(24);
   const StandardForm sf = StandardForm::build(model);
 
   SimplexOptions bland_now;
   bland_now.stall_threshold = 0;
-  const auto eager = make_lp_backend(GetParam(), sf);
-  ASSERT_EQ(eager->solve(bland_now), SolveStatus::kOptimal);
+  SimplexEngine eager(sf);
+  ASSERT_EQ(eager.solve(bland_now), SolveStatus::kOptimal);
 
-  const auto relaxed = make_lp_backend(GetParam(), sf);
-  ASSERT_EQ(relaxed->solve({}), SolveStatus::kOptimal);
+  SimplexEngine relaxed(sf);
+  ASSERT_EQ(relaxed.solve({}), SolveStatus::kOptimal);
 
-  EXPECT_NEAR(eager->objective_value(), 12.0, 1e-7);
-  EXPECT_NEAR(relaxed->objective_value(), 12.0, 1e-7);
+  EXPECT_NEAR(eager.objective_value(), 12.0, 1e-7);
+  EXPECT_NEAR(relaxed.objective_value(), 12.0, 1e-7);
 }
 
-TEST_P(DegenerateLpTest, TightIterationBudgetIsEnoughUnderBland) {
+TEST(DegenerateLpTest, TightIterationBudgetIsEnoughUnderBland) {
   // A cycling engine would burn the whole iteration budget; Bland's rule
   // bounds the pivot count by the number of bases actually visited.
   const Model model = degenerate_ring_cover(40);
@@ -64,17 +58,10 @@ TEST_P(DegenerateLpTest, TightIterationBudgetIsEnoughUnderBland) {
   SimplexOptions options;
   options.stall_threshold = 0;
   options.iteration_limit = 2'000;  // generous for n=40, fatal for a cycle
-  const auto engine = make_lp_backend(GetParam(), sf);
-  ASSERT_EQ(engine->solve(options), SolveStatus::kOptimal);
-  EXPECT_NEAR(engine->objective_value(), 20.0, 1e-7);
+  SimplexEngine engine(sf);
+  ASSERT_EQ(engine.solve(options), SolveStatus::kOptimal);
+  EXPECT_NEAR(engine.objective_value(), 20.0, 1e-7);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothBackends, DegenerateLpTest,
-                         ::testing::Values(LpEngine::kDense,
-                                           LpEngine::kSparse),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 }  // namespace
 }  // namespace gmm::lp

@@ -75,9 +75,6 @@ TEST(SolverKnobs, RejectsOutOfRangeValues) {
       R"({"options":{"max_stored_bases":-1}})",
       R"({"threads":"four"})",
       R"({"threads":1.5})",
-      R"({"options":{"lp_engine":"cuda"}})",
-      R"({"options":{"lp_engine":2}})",
-      R"({"options":{"lp_engine":"Dense"}})",
   };
   for (const char* text : bad) {
     SolverKnobs knobs;
@@ -94,44 +91,15 @@ TEST(SolverKnobs, RejectsUnknownAndMistypedOptions) {
   EXPECT_FALSE(parse_solver_knobs(
       parse_object(R"({"options":{"gapp":0.1}})"), knobs, reason));
   EXPECT_NE(reason.find("gapp"), std::string::npos) << reason;
+  // A knob the server no longer has is unknown like any typo.
+  EXPECT_FALSE(parse_solver_knobs(
+      parse_object(R"({"options":{"lp_engine":"dense"}})"), knobs, reason));
+  EXPECT_NE(reason.find("unknown solver knob 'lp_engine'"), std::string::npos)
+      << reason;
   EXPECT_FALSE(parse_solver_knobs(parse_object(R"({"options":[1]})"), knobs,
                                   reason));
   EXPECT_FALSE(parse_solver_knobs(parse_object(R"({"options":"fast"})"),
                                   knobs, reason));
-}
-
-TEST(SolverKnobs, LpEngineParsesAppliesAndRoundTrips) {
-  SolverKnobs knobs;
-  std::string reason;
-  ASSERT_TRUE(parse_solver_knobs(
-      parse_object(R"({"options":{"lp_engine":"sparse"}})"), knobs, reason))
-      << reason;
-  EXPECT_EQ(knobs.lp_engine, "sparse");
-
-  ilp::MipOptions mip;
-  EXPECT_EQ(mip.lp_engine, lp::LpEngine::kDense);  // the solver default
-  apply_solver_knobs(knobs, /*max_threads_per_solve=*/8, mip);
-  EXPECT_EQ(mip.lp_engine, lp::LpEngine::kSparse);
-
-  // Unset keeps the default; the canonical wire form round-trips.
-  ilp::MipOptions untouched;
-  apply_solver_knobs(SolverKnobs{}, /*max_threads_per_solve=*/8, untouched);
-  EXPECT_EQ(untouched.lp_engine, lp::LpEngine::kDense);
-  const Json wire = solver_knobs_to_json(knobs);
-  const Json* field = wire.find("lp_engine");
-  ASSERT_NE(field, nullptr);
-  EXPECT_EQ(field->as_string(), "sparse");
-  SolverKnobs reparsed;
-  JsonObject request;
-  request["options"] = wire;
-  ASSERT_TRUE(parse_solver_knobs(Json(std::move(request)), reparsed, reason))
-      << reason;
-  EXPECT_EQ(reparsed.lp_engine, "sparse");
-
-  // The reject message names the knob (reject-not-clamp contract).
-  EXPECT_FALSE(parse_solver_knobs(
-      parse_object(R"({"options":{"lp_engine":"cuda"}})"), knobs, reason));
-  EXPECT_NE(reason.find("lp_engine"), std::string::npos) << reason;
 }
 
 TEST(SolverKnobs, ApplyMapsOntoMipOptions) {

@@ -68,9 +68,12 @@ std::string random_design_text(support::Rng& rng) {
 /// The full armed surface: every known site, mostly low-probability
 /// schedules so sessions mix clean and faulted behavior.  ilp.node:stall
 /// stays rare — each fire parks a worker for a watchdog window.
+/// lu.refactor fires on every refactorization: only the complete-
+/// formulation requests' LPs grow large enough to refactorize at all,
+/// about twenty times across the three schedules.
 std::string chaos_fault_spec(std::uint64_t seed) {
   return "seed=" + std::to_string(seed) +
-         ",lu.refactor:singular@0.02"
+         ",lu.refactor:singular@always"
          ",lp.basis_load:corrupt@0.02"
          ",ilp.node:stall@0.005"
          ",ilp.alloc:fail@0.02"
@@ -104,6 +107,7 @@ void run_chaos_session(const std::string& endpoint, std::uint64_t seed,
     request["id"] = id;
     request["method"] = std::string("map");
     request["design_text"] = random_design_text(rng);
+    if (rng.bernoulli(0.25)) request["formulation"] = std::string("complete");
     if (rng.bernoulli(0.25)) {
       request["deadline_ms"] = rng.uniform_int(5, 200);
     }
