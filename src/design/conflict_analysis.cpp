@@ -1,6 +1,7 @@
 #include "design/conflict_analysis.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace gmm::design {
 
@@ -82,6 +83,17 @@ CliqueAnalysis conflict_cliques(const Design& design,
   CliqueAnalysis analysis;
   const std::size_t n = design.size();
   if (n == 0) return analysis;
+
+  // A complete graph (every Table-3 design) has one maximal clique, and
+  // the enumeration below would pivot over |P|^2 pairs at each of n
+  // levels to emit it as {0, ..., n-1} — the same ascending vector built
+  // here directly.
+  if (design.num_conflicts() == n * (n - 1) / 2 && max_cliques > 0) {
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    analysis.cliques.push_back(std::move(all));
+    return analysis;
+  }
 
   std::vector<std::vector<bool>> adjacent(n, std::vector<bool>(n, false));
   for (const auto& [a, b] : design.conflict_pairs()) {

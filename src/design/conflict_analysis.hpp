@@ -22,7 +22,8 @@ namespace gmm::design {
 struct CliqueAnalysis {
   /// Maximal cliques (vertex index lists).  With an empty conflict set
   /// this is one singleton clique per structure; with all-pairs conflicts
-  /// it is a single clique of everything.
+  /// it is a single clique of everything, in ascending order, returned
+  /// without enumerating.
   std::vector<std::vector<std::size_t>> cliques;
   /// True when enumeration hit the cap and `cliques` was replaced by the
   /// conservative single clique containing every structure.

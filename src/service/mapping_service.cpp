@@ -472,11 +472,12 @@ void MappingService::run_map(const std::string& id, int version,
     }
     for (const RequestFingerprint* probe : probes) {
       std::optional<CacheEntry> hit = cache_.find(probe->full);
-      if (!hit.has_value()) continue;
+      // A colliding fingerprint whose conflict relation or parameters
+      // over canonical ranks differ is another problem: a plain miss.
+      if (!hit.has_value() || !hit->same_problem(*probe)) continue;
       // Replay through the canonical permutations, then RE-VERIFY against
-      // THIS request's design and board: a fingerprint collision (or a
-      // poisoned entry) degrades to a verify-fail miss, never a wrong
-      // answer.
+      // THIS request's design and board: a poisoned entry degrades to a
+      // verify-fail miss, never a wrong answer.
       std::vector<std::size_t> probe_type_by_rank(board->num_types());
       for (std::size_t t = 0; t < board->num_types(); ++t) {
         probe_type_by_rank[probe->type_rank[t]] = t;
@@ -563,6 +564,9 @@ void MappingService::run_map(const std::string& id, int version,
     // request races cold (its lanes' value is finding the fast prover).
     if (!request.complete && !request.portfolio) {
       prior = cache_.find_structural(fp.structural);
+      // Pins and the MIP start only carry over within one conflict
+      // relation; a colliding structural key is a plain miss too.
+      if (prior.has_value() && !prior->same_conflicts(fp)) prior.reset();
     }
   }
 
@@ -831,6 +835,7 @@ void MappingService::run_map(const std::string& id, int version,
     }
     if (canonical) {
       entry.param_hash_by_rank = insert_fp.param_hash_by_rank;
+      entry.conflicts_by_rank = insert_fp.conflicts_by_rank;
       entry.objective = assignment.objective;
       entry.retries = response.retries;
       entry.solve_status = lp::to_string(status);

@@ -17,9 +17,14 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Order-SENSITIVE accumulator; order-invariance is obtained by feeding
-/// sorted sequences, never by a commutative combine (xor-folding loses
-/// multiplicities).
+/// Order-SENSITIVE accumulator.  Order-invariance comes from two places:
+/// feeding sorted sequences, or folding an unordered multiset as the
+/// wrapping sum of its members' mixed hashes.  Addition mod 2^64 keeps
+/// multiplicities (two copies of v add 2*mix64(v), three add 3*mix64(v)),
+/// and mixing first makes the members pseudo-random words, so two
+/// different multisets share a sum only by a 2^-64 coincidence.  An XOR
+/// fold would cancel every pair of equal members: {v, v, w} and {w}
+/// would agree, and so would {u, u} and {v, v}.
 constexpr std::uint64_t combine(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
@@ -53,31 +58,54 @@ std::uint64_t param_hash_structural(const design::DataStructure& ds) {
   return h;
 }
 
-/// Weisfeiler-Leman refinement over the conflict graph: each round folds
-/// the sorted multiset of neighbor hashes into every structure's hash.
-/// After a few rounds two structures hash equal only when their local
-/// graph neighborhoods are indistinguishable — which makes the sorted
-/// hash multiset invariant under any reordering/renaming of the design.
-std::vector<std::uint64_t> wl_refine(
-    std::vector<std::uint64_t> hash,
-    const std::vector<std::vector<std::size_t>>& adjacency) {
+/// The conflict graph in compressed sparse row form: structure d's
+/// neighbors are peers[offset[d] .. offset[d + 1]).
+struct Adjacency {
+  std::vector<std::size_t> offset;
+  std::vector<std::size_t> peers;
+};
+
+Adjacency csr_adjacency(const design::Design& design) {
+  const std::size_t n = design.size();
+  Adjacency adj;
+  adj.offset.assign(n + 1, 0);
+  for (const auto& [a, b] : design.conflict_pairs()) {
+    ++adj.offset[a + 1];
+    ++adj.offset[b + 1];
+  }
+  for (std::size_t d = 0; d < n; ++d) adj.offset[d + 1] += adj.offset[d];
+  adj.peers.resize(adj.offset[n]);
+  std::vector<std::size_t> next(adj.offset.begin(), adj.offset.end() - 1);
+  for (const auto& [a, b] : design.conflict_pairs()) {
+    adj.peers[next[a]++] = b;
+    adj.peers[next[b]++] = a;
+  }
+  return adj;
+}
+
+/// Weisfeiler-Leman refinement over the conflict graph.  Each round mixes
+/// every structure's hash once, then gives each structure a new hash that
+/// folds its own hash, its degree and the wrapping sum of its neighbors'
+/// mixed hashes (an additive multiset hash, see combine), so a round
+/// costs O(n + E) with no sort.  After a few rounds two structures hash
+/// equal only when their local graph neighborhoods are indistinguishable
+/// to the refinement — which makes the hash multiset invariant under any
+/// reordering/renaming of the design.
+std::vector<std::uint64_t> wl_refine(std::vector<std::uint64_t> hash,
+                                     const Adjacency& adj) {
   constexpr int kRounds = 3;
   const std::size_t n = hash.size();
-  std::vector<std::uint64_t> next(n);
-  std::vector<std::uint64_t> neighborhood;
+  std::vector<std::uint64_t> mixed(n);
   for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t d = 0; d < n; ++d) mixed[d] = mix64(hash[d]);
     for (std::size_t d = 0; d < n; ++d) {
-      neighborhood.clear();
-      neighborhood.reserve(adjacency[d].size());
-      for (const std::size_t peer : adjacency[d]) {
-        neighborhood.push_back(hash[peer]);
+      std::uint64_t peers = 0;
+      for (std::size_t k = adj.offset[d]; k < adj.offset[d + 1]; ++k) {
+        peers += mixed[adj.peers[k]];
       }
-      std::sort(neighborhood.begin(), neighborhood.end());
-      std::uint64_t h = mix64(hash[d]);
-      for (const std::uint64_t peer : neighborhood) h = combine(h, peer);
-      next[d] = h;
+      const std::size_t degree = adj.offset[d + 1] - adj.offset[d];
+      hash[d] = combine(combine(mixed[d], degree), peers);
     }
-    hash.swap(next);
   }
   return hash;
 }
@@ -133,39 +161,38 @@ std::uint64_t board_hash(const arch::Board& board,
 /// Both lanes fold the same components under different seeds.
 std::uint64_t assemble_lane(std::uint64_t seed,
                             const std::vector<std::uint64_t>& node_hashes,
-                            const std::vector<std::uint64_t>& edge_hashes,
+                            std::size_t num_edges, std::uint64_t edge_sum,
                             std::uint64_t board, int formulation,
                             double rel_gap) {
   std::uint64_t h = mix64(seed);
   h = combine(h, node_hashes.size());
   for (const std::uint64_t v : node_hashes) h = combine(h, v);
-  h = combine(h, edge_hashes.size());
-  for (const std::uint64_t v : edge_hashes) h = combine(h, v);
+  h = combine(h, num_edges);
+  h = combine(h, edge_sum);
   h = combine(h, board);
   h = combine(h, static_cast<std::uint64_t>(formulation));
   h = combine(h, double_bits(rel_gap));
   return h;
 }
 
+/// The node multiset folds sorted; the edge multiset folds as its size
+/// plus the wrapping sum of per-edge hashes.  An edge hashes as the mix of
+/// its endpoints' summed hashes: symmetric in the endpoints, and the mix
+/// keeps the fold from collapsing to sum(degree * hash), which the node
+/// multiset already determines.
 Fingerprint assemble(const std::vector<std::uint64_t>& wl,
                      const std::vector<std::pair<std::size_t, std::size_t>>&
                          conflict_pairs,
                      std::uint64_t board, int formulation, double rel_gap) {
   std::vector<std::uint64_t> nodes = wl;
   std::sort(nodes.begin(), nodes.end());
-  std::vector<std::uint64_t> edges;
-  edges.reserve(conflict_pairs.size());
-  for (const auto& [a, b] : conflict_pairs) {
-    const std::uint64_t lo = std::min(wl[a], wl[b]);
-    const std::uint64_t hi = std::max(wl[a], wl[b]);
-    edges.push_back(combine(combine(0x5157f3a1c0ffee06ULL, lo), hi));
-  }
-  std::sort(edges.begin(), edges.end());
+  std::uint64_t edge_sum = 0;
+  for (const auto& [a, b] : conflict_pairs) edge_sum += mix64(wl[a] + wl[b]);
   Fingerprint fp;
-  fp.hi = assemble_lane(0x8badf00ddeadbeefULL, nodes, edges, board,
-                        formulation, rel_gap);
-  fp.lo = assemble_lane(0x0123456789abcdefULL, nodes, edges, board,
-                        formulation, rel_gap);
+  fp.hi = assemble_lane(0x8badf00ddeadbeefULL, nodes, conflict_pairs.size(),
+                        edge_sum, board, formulation, rel_gap);
+  fp.lo = assemble_lane(0x0123456789abcdefULL, nodes, conflict_pairs.size(),
+                        edge_sum, board, formulation, rel_gap);
   return fp;
 }
 
@@ -176,11 +203,7 @@ RequestFingerprint fingerprint_request(const design::Design& design,
                                        CachedFormulation formulation,
                                        double rel_gap) {
   const std::size_t n = design.size();
-  std::vector<std::vector<std::size_t>> adjacency(n);
-  for (const auto& [a, b] : design.conflict_pairs()) {
-    adjacency[a].push_back(b);
-    adjacency[b].push_back(a);
-  }
+  const Adjacency adjacency = csr_adjacency(design);
 
   std::vector<std::uint64_t> full_seed(n);
   std::vector<std::uint64_t> structural_seed(n);
@@ -207,8 +230,9 @@ RequestFingerprint fingerprint_request(const design::Design& design,
   // Canonical structure order: traffic-excluded keys FIRST so the ranks
   // of a traffic-mutated resubmission still align with the cached entry;
   // the full hash only breaks structural ties, and residual ties (fully
-  // WL-equivalent structures) are interchangeable by construction — any
-  // remaining wrongness is caught by replay re-verification.
+  // WL-equivalent structures) fall back to index order.  Tied structures
+  // share their parameters but need not be interchangeable in the graph;
+  // the conflict relation over ranks below is what a lookup compares.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -221,7 +245,14 @@ RequestFingerprint fingerprint_request(const design::Design& design,
   out.param_hash_by_rank.resize(n);
   for (std::size_t rank = 0; rank < n; ++rank) {
     out.structure_rank[order[rank]] = rank;
-    out.param_hash_by_rank[rank] = param_hash_full(design.at(order[rank]));
+    out.param_hash_by_rank[rank] = full_seed[order[rank]];
+  }
+  out.conflicts_by_rank.assign((n * (n - 1) / 2 + 63) / 64, 0);
+  for (const auto& [a, b] : design.conflict_pairs()) {
+    const auto [lo, hi] =
+        std::minmax(out.structure_rank[a], out.structure_rank[b]);
+    const std::size_t bit = hi * (hi - 1) / 2 + lo;
+    out.conflicts_by_rank[bit / 64] |= std::uint64_t{1} << (bit % 64);
   }
 
   std::vector<std::size_t> type_order(board.num_types());
@@ -236,6 +267,15 @@ RequestFingerprint fingerprint_request(const design::Design& design,
     out.type_rank[type_order[rank]] = rank;
   }
   return out;
+}
+
+bool CacheEntry::same_conflicts(const RequestFingerprint& request) const {
+  return conflicts_by_rank == request.conflicts_by_rank;
+}
+
+bool CacheEntry::same_problem(const RequestFingerprint& request) const {
+  return same_conflicts(request) &&
+         param_hash_by_rank == request.param_hash_by_rank;
 }
 
 std::optional<CacheEntry> SolutionCache::find(const Fingerprint& key) {

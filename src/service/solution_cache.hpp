@@ -15,19 +15,25 @@
 //     bank types and device grouping (invariant under type reordering;
 //     config LISTS hash in order, because config_index and the placement
 //     planner's config choice depend on list position), the formulation,
-//     and the effective relative gap.  A hit replays the cached mapping
-//     through the canonical permutations back into the request's own
-//     index space — and is then RE-VERIFIED (validate_mapping + a cost
-//     recompute against the cached objective) before being served, so a
-//     fingerprint collision degrades to a miss, never a wrong answer.
+//     and the effective relative gap.  The fingerprint is only an index:
+//     refinement cannot tell some non-isomorphic conflict graphs apart,
+//     so a hit also requires the entry's conflict relation and
+//     per-structure parameters over canonical ranks to equal the
+//     request's (CacheEntry::same_problem), and a collision is a plain
+//     miss.  A hit replays the cached mapping through the canonical
+//     permutations back into the request's own index space — and is then
+//     RE-VERIFIED (validate_mapping + a cost recompute against the cached
+//     objective) before being served, so a corrupted entry degrades to a
+//     miss, never a wrong answer.
 //
 //   * NEAR MISS — a second, traffic-excluded STRUCTURAL fingerprint
 //     indexes entries by shape alone.  A request that matches an entry
-//     structurally but not exactly changed only access counts; the
-//     service then runs mapping::remap seeded with the cached assignment
-//     (MIP start) and pins the structures whose full parameter hashes
-//     still match, instead of solving cold.  Placement feasibility never
-//     depends on traffic, so the warm start is always valid.
+//     structurally (and in its conflict relation over canonical ranks)
+//     but not exactly changed only access counts; the service then runs
+//     mapping::remap seeded with the cached assignment (MIP start) and
+//     pins the structures whose full parameter hashes still match,
+//     instead of solving cold.  Placement feasibility never depends on
+//     traffic, so the warm start is always valid.
 //
 // Only PROVED results are inserted (solve status kOptimal with B&B stop
 // reason kOptimal): node/time budgets then never need to be part of the
@@ -52,8 +58,9 @@
 namespace gmm::service {
 
 /// 128-bit cache key; two independently mixed 64-bit lanes keep the
-/// collision probability negligible at serving scale (and a collision is
-/// caught by replay re-verification anyway).
+/// chance of an accidental hash collision negligible at serving scale.
+/// Graphs the refinement cannot separate still collide, which
+/// CacheEntry::same_problem turns into a miss.
 struct Fingerprint {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -79,6 +86,11 @@ struct RequestFingerprint {
   /// canonical rank — the near-miss path pins exactly the ranks whose
   /// hashes are unchanged.
   std::vector<std::uint64_t> param_hash_by_rank;
+  /// The conflict relation over canonical ranks: an upper-triangular
+  /// bitset of n(n-1)/2 bits packed 64 to a word, the pair of ranks r < s
+  /// at bit s(s-1)/2 + r.  The fingerprints only index the cache; this is
+  /// what tells two colliding conflict graphs apart.
+  std::vector<std::uint64_t> conflicts_by_rank;
 };
 
 /// Formulation tag folded into both fingerprints.  Sharded solves are
@@ -112,9 +124,19 @@ struct CacheEntry {
   std::vector<mapping::PlacedFragment> fragments_by_rank;
   /// Full per-structure parameter hashes by rank (for near-miss pinning).
   std::vector<std::uint64_t> param_hash_by_rank;
+  /// The proved problem's conflict relation over canonical ranks.
+  std::vector<std::uint64_t> conflicts_by_rank;
   double objective = 0.0;
   int retries = 0;
   std::string solve_status;  // wire "solve_status" of the original solve
+  /// Same conflict relation over canonical ranks as `request` — what a
+  /// near-miss prior needs on top of its structural fingerprint.
+  [[nodiscard]] bool same_conflicts(const RequestFingerprint& request) const;
+  /// Same conflict relation and same per-rank parameters — what an exact
+  /// hit needs on top of its full fingerprint.  With both checks a
+  /// fingerprint collision can only cost a hit, never replay another
+  /// problem's answer.
+  [[nodiscard]] bool same_problem(const RequestFingerprint& request) const;
 };
 
 /// Thread-safe LRU store.  Lookups copy the entry out (a reference could

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 namespace gmm::design {
 namespace {
@@ -36,12 +38,17 @@ TEST(ConflictCliques, EmptyGraphGivesSingletons) {
 }
 
 TEST(ConflictCliques, CompleteGraphGivesOneClique) {
-  Design design = make_design(5);
-  design.set_all_conflicting();
-  const CliqueAnalysis a = conflict_cliques(design);
-  EXPECT_FALSE(a.capped);
-  EXPECT_EQ(as_sets(a.cliques),
-            (std::set<std::set<std::size_t>>{{0, 1, 2, 3, 4}}));
+  // The exact vector, not a set: the order feeds cover-cut separation,
+  // and the global model's rows follow it.
+  for (const std::size_t n : {1u, 2u, 5u, 22u, 132u}) {
+    Design design = make_design(n);
+    design.set_all_conflicting();
+    const CliqueAnalysis a = conflict_cliques(design);
+    EXPECT_FALSE(a.capped) << n;
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    EXPECT_EQ(a.cliques, (std::vector<std::vector<std::size_t>>{all})) << n;
+  }
 }
 
 TEST(ConflictCliques, TrianglePlusPendant) {
