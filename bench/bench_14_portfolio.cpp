@@ -58,7 +58,8 @@ std::vector<int> env_points() {
 
 int env_lanes() {
   const char* raw = std::getenv("GMM_BENCH_PORTFOLIO_LANES");
-  const int lanes = raw != nullptr ? std::atoi(raw) : 3;
+  const int lanes =
+      raw != nullptr ? std::atoi(raw) : mapping::kDefaultPortfolioLanes;
   return std::clamp(lanes, 1, mapping::kMaxPortfolioLanes);
 }
 

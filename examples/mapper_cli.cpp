@@ -23,17 +23,16 @@
 //                  files are given
 //
 // Reads the text formats of arch_io/design_io (see examples/data/ for
-// samples), runs the requested mapper, and prints the assignment,
-// placements and solve statistics.  Batch mode parses the board once and
-// shares it read-only across every concurrent pipeline — the serving
-// pattern for many mapping requests against one device catalog.
-// Multi-device boards route through mapping::map_sharded (partition ->
-// per-device ILP fan-out -> stitch ILP) and report the per-structure
-// device placement plus the stitch transfer cost.
+// samples), runs the requested formulation through mapping::solve (which
+// certifies the answer), and prints the assignment, placements and solve
+// statistics.  Multi-device boards take the sharded formulation and also
+// report each structure's device and the stitch transfer cost.  Batch
+// mode shares the parsed board read-only across concurrent pipelines.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,15 +40,10 @@
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
 #include "mapping/batch_mapper.hpp"
-#include "mapping/complete_mapper.hpp"
-#include "mapping/pipeline.hpp"
-#include "mapping/portfolio.hpp"
-#include "mapping/shard_mapper.hpp"
-#include "mapping/validate.hpp"
+#include "mapping/solve.hpp"
 #include "report/placement_report.hpp"
 #include "report/text_table.hpp"
 #include "support/string_util.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -77,27 +71,20 @@ struct ParsedDesign {
 };
 
 int report_single(const gmm::arch::Board& board,
-                  const gmm::design::Design& design, const char* label,
-                  bool csv, bool memory_map,
-                  const gmm::mapping::GlobalAssignment& assignment,
-                  const gmm::mapping::DetailedMapping& detailed,
-                  const gmm::mapping::SolveEffort& effort,
-                  gmm::lp::SolveStatus status,
-                  const std::vector<int>* device_of = nullptr) {
+                  const gmm::design::Design& design,
+                  gmm::mapping::Formulation formulation, bool csv,
+                  bool memory_map, const gmm::mapping::SolveOutcome& r) {
   using namespace gmm;
-  if (status != lp::SolveStatus::kOptimal &&
-      status != lp::SolveStatus::kFeasible) {
-    std::fprintf(stderr, "mapping failed: %s\n", lp::to_string(status));
-    return 1;
-  }
-  const auto violations =
-      mapping::validate_mapping(design, board, assignment, detailed);
-  if (!violations.empty()) {
-    std::fprintf(stderr, "mapping produced %zu legality violations!\n",
-                 violations.size());
-    for (const std::string& v : violations) {
-      std::fprintf(stderr, "  %s\n", v.c_str());
-    }
+  const mapping::GlobalAssignment& assignment = r.assignment;
+  const mapping::DetailedMapping& detailed = r.detailed;
+  const std::vector<int>* device_of =
+      board.multi_device() && !r.device_of.empty() ? &r.device_of : nullptr;
+  if ((r.status != lp::SolveStatus::kOptimal &&
+       r.status != lp::SolveStatus::kFeasible) ||
+      !r.has_mapping()) {
+    std::fprintf(stderr, "mapping failed: %s\n",
+                 r.certify_failure.empty() ? lp::to_string(r.status)
+                                           : r.certify_failure.c_str());
     return 1;
   }
 
@@ -120,9 +107,12 @@ int report_single(const gmm::arch::Board& board,
   }
 
   std::printf("%s mapping of '%s' onto '%s': %s, objective %.0f (%.3fs)\n\n",
-              label, design.name().c_str(), board.name().c_str(),
-              lp::to_string(status), assignment.objective,
-              effort.total_seconds());
+              formulation == mapping::Formulation::kGlobal
+                  ? "global/detailed"
+                  : mapping::to_string(formulation),
+              design.name().c_str(), board.name().c_str(),
+              lp::to_string(r.status), assignment.objective,
+              r.effort.total_seconds());
   std::vector<std::string> headers = {"Structure", "Depth x Width",
                                       "Bank type", "Fragments"};
   if (device_of != nullptr) headers.insert(headers.begin() + 2, "Device");
@@ -156,9 +146,8 @@ int report_single(const gmm::arch::Board& board,
 
 int main(int argc, char** argv) {
   using namespace gmm;
-  bool use_complete = false;
-  bool use_portfolio = false;
-  int lanes = 3;
+  std::optional<mapping::Formulation> asked;  // --complete / --portfolio
+  int lanes = 0;  // 0 = mapping::kDefaultPortfolioLanes
   bool csv = false;
   bool memory_map = false;
   int threads = 1;
@@ -167,10 +156,16 @@ int main(int argc, char** argv) {
   bool jobs_given = false;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--complete") == 0) {
-      use_complete = true;
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      use_portfolio = true;
+    if (std::strcmp(argv[i], "--complete") == 0 ||
+        std::strcmp(argv[i], "--portfolio") == 0) {
+      const auto formulation = mapping::parse_formulation(argv[i] + 2);
+      if (asked.has_value() && asked != formulation) {
+        std::fprintf(stderr,
+                     "--portfolio and --complete are exclusive (the "
+                     "portfolio menu already includes a complete lane)\n");
+        return usage(argv[0]);
+      }
+      asked = formulation;
     } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
       if (!parse_count(argv[++i], lanes) || lanes < 1 ||
           lanes > mapping::kMaxPortfolioLanes) {
@@ -241,100 +236,59 @@ int main(int argc, char** argv) {
   // ---- single-design mode ----------------------------------------------
   if (designs.size() == 1 && !jobs_given) {
     const design::Design& design = designs[0].design;
-    if (use_portfolio) {
-      if (use_complete) {
-        std::fprintf(stderr,
-                     "--portfolio and --complete are exclusive (the "
-                     "portfolio menu already includes a complete lane)\n");
-        return usage(argv[0]);
-      }
-      mapping::PortfolioOptions portfolio_options;
-      portfolio_options.lanes =
-          mapping::default_portfolio_lanes(board, lanes, pipeline_options);
-      const mapping::PortfolioResult r =
-          mapping::solve_portfolio(design, board, portfolio_options);
-      if (!csv) {
-        report::TextTable race({"Lane", "Kind", "Status", "Objective",
-                                "Wall (s)", "B&B nodes"});
-        race.set_alignment(0, report::Align::kLeft);
-        race.set_alignment(1, report::Align::kLeft);
-        race.set_alignment(2, report::Align::kLeft);
-        for (const mapping::LaneReport& lane : r.lanes) {
-          race.add_row(
-              {lane.name, mapping::to_string(lane.kind),
-               lane.ran ? lp::to_string(lane.status) : "never ran",
-               lane.usable
-                   ? std::to_string(static_cast<long long>(lane.objective))
-                   : "-",
-               support::format_fixed(lane.seconds, 3),
-               std::to_string(static_cast<long long>(lane.effort.bnb_nodes))});
-        }
-        race.print(std::cout);
-        std::printf("\nportfolio: %zu lanes, winner %s, first proof in "
-                    "%.3fs, %d lanes cancelled\n\n",
-                    r.lanes.size(),
-                    r.winner >= 0 ? r.winner_name.c_str() : "none",
-                    r.first_prove_seconds, r.lanes_cancelled);
-      }
-      return report_single(board, design, "portfolio", csv, memory_map,
-                           r.assignment, r.detailed, r.effort, r.status,
-                           board.multi_device() && !r.device_of.empty()
-                               ? &r.device_of
-                               : nullptr);
+    if (asked == mapping::Formulation::kComplete && board.multi_device()) {
+      std::fprintf(stderr,
+                   "--complete is a single-device option; multi-device "
+                   "boards use the sharded mapper\n");
+      return usage(argv[0]);
     }
-    if (board.multi_device()) {
-      if (use_complete) {
-        std::fprintf(stderr,
-                     "--complete is a single-device option; multi-device "
-                     "boards use the sharded mapper\n");
-        return usage(argv[0]);
+    mapping::SolveSpec spec;
+    spec.formulation = asked.value_or(board.multi_device()
+                                          ? mapping::Formulation::kSharded
+                                          : mapping::Formulation::kGlobal);
+    spec.pipeline = pipeline_options;
+    spec.lanes = lanes;
+    const mapping::SolveOutcome r = mapping::solve(design, board, spec);
+    if (!csv && asked == mapping::Formulation::kPortfolio) {
+      report::TextTable race({"Lane", "Kind", "Status", "Objective",
+                              "Wall (s)", "B&B nodes"});
+      race.set_alignment(0, report::Align::kLeft);
+      race.set_alignment(1, report::Align::kLeft);
+      race.set_alignment(2, report::Align::kLeft);
+      for (const mapping::LaneReport& lane : r.lanes) {
+        race.add_row(
+            {lane.name, mapping::to_string(lane.kind),
+             lane.ran ? lp::to_string(lane.status) : "never ran",
+             lane.usable
+                 ? std::to_string(static_cast<long long>(lane.objective))
+                 : "-",
+             support::format_fixed(lane.seconds, 3),
+             std::to_string(static_cast<long long>(lane.effort.bnb_nodes))});
       }
-      mapping::ShardOptions shard_options;
-      shard_options.pipeline = pipeline_options;
-      const mapping::ShardResult r =
-          mapping::map_sharded(design, board, shard_options);
-      if (!csv &&
-          (r.status == lp::SolveStatus::kOptimal ||
-           r.status == lp::SolveStatus::kFeasible)) {
-        std::printf("sharded over %d devices: %d shards, stitch cost %.0f, "
-                    "%lld cut edges, %d repair rounds\n",
-                    r.stats.devices, r.stats.shards, r.stats.stitch_cost,
-                    static_cast<long long>(r.stats.cut_edges),
-                    r.stats.repair_rounds);
-      }
-      return report_single(board, design, "sharded", csv, memory_map,
-                           r.assignment, r.detailed, r.effort, r.status,
-                           &r.device_of);
+      race.print(std::cout);
+      std::printf("\nportfolio: %zu lanes, winner %s, first proof in "
+                  "%.3fs, %d lanes cancelled\n\n",
+                  r.lanes.size(),
+                  r.winner >= 0 ? r.winner_name.c_str() : "none",
+                  r.first_prove_seconds, r.lanes_cancelled);
+    } else if (!csv && r.has_mapping() &&
+               spec.formulation == mapping::Formulation::kSharded) {
+      std::printf("sharded over %d devices: %d shards, stitch cost %.0f, "
+                  "%lld cut edges, %d repair rounds\n",
+                  r.shard.devices, r.shard.shards, r.shard.stitch_cost,
+                  static_cast<long long>(r.shard.cut_edges),
+                  r.shard.repair_rounds);
     }
-    if (use_complete) {
-      const mapping::CostTable table(design, board);
-      mapping::CompleteOptions complete_options;
-      complete_options.mip.num_threads = threads;
-      const mapping::CompleteResult r =
-          mapping::map_complete(design, board, table, complete_options);
-      return report_single(board, design, "complete", csv, memory_map,
-                           r.assignment, r.detailed, r.effort, r.status);
-    }
-    const mapping::PipelineResult r =
-        mapping::map_pipeline(design, board, pipeline_options);
-    return report_single(board, design, "global/detailed", csv, memory_map,
-                         r.assignment, r.detailed, r.effort, r.status);
+    return report_single(board, design, spec.formulation, csv, memory_map,
+                         r);
   }
 
   // ---- batch mode ------------------------------------------------------
-  if (use_complete) {
-    std::fprintf(stderr, "--complete is a single-design option\n");
-    return usage(argv[0]);
-  }
-  if (use_portfolio) {
-    std::fprintf(stderr, "--portfolio is a single-design option\n");
-    return usage(argv[0]);
-  }
-  if (board.multi_device()) {
+  if (asked.has_value() || board.multi_device()) {
     std::fprintf(stderr,
                  "batch mode maps each design with the single-device "
-                 "pipeline; multi-device boards (--devices) are a "
-                 "single-design option\n");
+                 "pipeline; --complete, --portfolio and multi-device boards "
+                 "(--devices) are single-design options\n");
     return usage(argv[0]);
   }
   if (jobs <= 0) {

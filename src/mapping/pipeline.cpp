@@ -34,12 +34,7 @@ PipelineResult map_pipeline(const design::Design& design,
     }
     GlobalResult global = map_global(design, board, table, global_options);
     result.model_size = global.model_size;
-    result.effort.formulate_seconds += global.effort.formulate_seconds;
-    result.effort.solve_seconds += global.effort.solve_seconds;
-    result.effort.bnb_nodes += global.effort.bnb_nodes;
-    result.effort.lp_iterations += global.effort.lp_iterations;
-    result.effort.lp_refactorizations += global.effort.lp_refactorizations;
-    result.effort.basis += global.effort.basis;
+    result.effort += global.effort;  // formulate + solve; the rest is 0
     result.mip = std::move(global.mip);
     result.status = global.status;
     if (global.status != lp::SolveStatus::kOptimal &&

@@ -7,159 +7,64 @@
 #include <mutex>
 #include <utility>
 
-#include "mapping/cost_model.hpp"
 #include "support/timer.hpp"
 
 namespace gmm::mapping {
 
 namespace {
 
-void accumulate(SolveEffort& into, const SolveEffort& add) {
-  into.preprocess_seconds += add.preprocess_seconds;
-  into.formulate_seconds += add.formulate_seconds;
-  into.solve_seconds += add.solve_seconds;
-  into.detailed_seconds += add.detailed_seconds;
-  into.bnb_nodes += add.bnb_nodes;
-  into.lp_iterations += add.lp_iterations;
-  into.lp_refactorizations += add.lp_refactorizations;
-  into.basis += add.basis;
-}
-
-/// Everything one lane produced: the report plus the winner payload.
-struct LaneOutcome {
-  LaneReport report;
-  GlobalAssignment assignment;
-  DetailedMapping detailed;
-  ModelSize model_size;
-  SolveEffort effort;  // behind the returned mapping (not the charge)
-  int retries = 0;
-  ilp::MipResult mip;
-  std::vector<int> device_of;
-  int shards = 0;
-};
-
-/// A proof is either a complete optimal mapping or proved infeasibility
-/// — both are final answers that should stop the race.
-bool is_proof(const LaneOutcome& o) {
-  if (o.report.stop_reason != lp::SolveStatus::kOptimal) return false;
-  if (o.report.status == lp::SolveStatus::kOptimal) return o.report.usable;
-  return o.report.status == lp::SolveStatus::kInfeasible;
-}
-
-LaneOutcome run_lane(const design::Design& design, const arch::Board& board,
-                     const PortfolioLane& lane,
-                     const support::CancelTokenPtr& token) {
-  LaneOutcome o;
-  o.report.name = lane.name;
-  o.report.kind = lane.kind;
+/// Run one lane through mapping::solve and fill its report.
+SolveOutcome run_lane(const design::Design& design, const arch::Board& board,
+                      const PortfolioLane& lane,
+                      const support::CancelTokenPtr& token,
+                      LaneReport& report) {
+  report.name = lane.name;
+  report.kind = lane.kind;
   const support::WallTimer timer;
   if (token->should_stop()) {
     // Lost the race (or the parent stopped) before this lane ever got a
     // pool slot: record a zero-cost cancelled lane, never solve.
-    o.report.status = lp::SolveStatus::kCancelled;
-    o.report.stop_reason = token->cancelled() ? lp::SolveStatus::kCancelled
-                                              : lp::SolveStatus::kTimeLimit;
-    o.report.cancelled = true;
-    o.report.seconds = timer.seconds();
-    return o;
+    report.status = lp::SolveStatus::kCancelled;
+    report.stop_reason = token->cancelled() ? lp::SolveStatus::kCancelled
+                                            : lp::SolveStatus::kTimeLimit;
+    report.cancelled = true;
+    report.seconds = timer.seconds();
+    return {};
   }
-  o.report.ran = true;
-  switch (lane.kind) {
-    case LaneKind::kGlobal: {
-      PipelineOptions options = lane.pipeline;
-      options.global.mip.cancel_token = token;
-      PipelineResult r = map_pipeline(design, board, options);
-      o.report.status = r.status;
-      o.report.stop_reason = r.mip.stop_reason;
-      o.report.retries = r.retries;
-      o.assignment = std::move(r.assignment);
-      o.detailed = std::move(r.detailed);
-      o.model_size = r.model_size;
-      o.effort = r.effort;
-      o.retries = r.retries;
-      o.mip = std::move(r.mip);
-      o.report.effort = o.effort;
-      break;
-    }
-    case LaneKind::kComplete: {
-      CompleteOptions options;
-      options.mip = lane.pipeline.global.mip;
-      options.mip.cancel_token = token;
-      options.use_packing_heuristic = lane.use_packing_heuristic;
-      // The cost table is this lane's pre-processing; charge it like the
-      // pipeline does so lane times follow Table 3's accounting.
-      const support::WallTimer table_timer;
-      const CostTable table(design, board, lane.pipeline.global.weights);
-      const double table_seconds = table_timer.seconds();
-      CompleteResult r = map_complete(design, board, table, options);
-      o.report.status = r.status;
-      o.report.stop_reason = r.mip.stop_reason;
-      o.assignment = std::move(r.assignment);
-      o.detailed = std::move(r.detailed);
-      o.model_size = r.model_size;
-      o.effort = r.effort;
-      o.effort.preprocess_seconds += table_seconds;
-      o.mip = std::move(r.mip);
-      o.report.effort = o.effort;
-      break;
-    }
-    case LaneKind::kSharded: {
-      ShardOptions options = lane.shard;
-      options.pipeline = lane.pipeline;
-      options.pipeline.global.mip.cancel_token = token;
-      // Owning overload on purpose: submitting candidate solves into the
-      // portfolio's own pool and waiting for them from a lane task would
-      // stall the race behind sibling lanes.
-      ShardResult r = map_sharded(design, board, options);
-      o.report.status = r.status;
-      // A sharded answer has no single MIP stop reason; its stitch runs
-      // at gap 0, so a kOptimal status IS a completed run.  An
-      // infeasible sharded result is a heuristic-partition failure, not
-      // a proof of model infeasibility — never report it as one.
-      o.report.stop_reason = r.status == lp::SolveStatus::kOptimal
-                                 ? lp::SolveStatus::kOptimal
-                                 : r.status;
-      o.report.retries = r.retries;
-      o.assignment = std::move(r.assignment);
-      o.detailed = std::move(r.detailed);
-      o.model_size = r.model_size;
-      o.effort = r.effort;
-      o.retries = r.retries;
-      o.device_of = std::move(r.device_of);
-      o.shards = r.stats.shards;
-      // Charge the TOTAL fan-out work (discarded candidates included).
-      o.report.effort = r.total_effort;
-      break;
-    }
-  }
-  o.report.usable = o.detailed.success && o.assignment.complete();
-  o.report.objective = o.report.usable ? o.assignment.objective : 0.0;
-  o.report.proved = is_proof(o);
-  o.report.cancelled = o.report.stop_reason == lp::SolveStatus::kCancelled;
-  o.report.seconds = timer.seconds();
+  report.ran = true;
+  SolveSpec spec;
+  spec.formulation = lane.kind;
+  spec.pipeline = lane.pipeline;
+  spec.pipeline.global.mip.cancel_token = token;
+  SolveOutcome o = solve(design, board, spec);
+  report.status = o.status;
+  // A sharded answer has no single MIP: its stitch runs at gap 0, so its
+  // status is its stop reason (and an infeasible one is a heuristic
+  // partition failure, never a proof of model infeasibility).
+  report.stop_reason =
+      lane.kind == Formulation::kSharded ? o.status : o.mip.stop_reason;
+  report.effort = o.total_effort;
+  report.usable = o.has_mapping();
+  report.objective = report.usable ? o.assignment.objective : 0.0;
+  // A proof is a complete optimal mapping or proved infeasibility: both
+  // are final answers that should stop the race.
+  report.proved = report.stop_reason == lp::SolveStatus::kOptimal &&
+                  (report.status == lp::SolveStatus::kOptimal
+                       ? report.usable
+                       : report.status == lp::SolveStatus::kInfeasible);
+  report.cancelled = report.stop_reason == lp::SolveStatus::kCancelled;
+  report.seconds = timer.seconds();
   return o;
 }
 
 }  // namespace
-
-const char* to_string(LaneKind kind) {
-  switch (kind) {
-    case LaneKind::kGlobal:
-      return "global";
-    case LaneKind::kComplete:
-      return "complete";
-    case LaneKind::kSharded:
-      return "sharded";
-  }
-  return "?";
-}
 
 std::vector<PortfolioLane> default_portfolio_lanes(
     const arch::Board& board, int lanes, const PipelineOptions& base) {
   const int count = std::clamp(lanes, 1, kMaxPortfolioLanes);
   std::vector<PortfolioLane> out;
   out.reserve(static_cast<std::size_t>(count));
-  const auto add = [&out, &base](const std::string& name, LaneKind kind) {
+  const auto add = [&out, &base](const std::string& name, Formulation kind) {
     PortfolioLane lane;
     lane.name = name;
     lane.kind = kind;
@@ -172,16 +77,16 @@ std::vector<PortfolioLane> default_portfolio_lanes(
     // objective over the same partition, or racing would compare apples
     // to oranges (the flat global formulation cannot see inter-device
     // pin costs).  Vary per-device search knobs only.
-    add("sharded", LaneKind::kSharded);
-    add("sharded-nocuts", LaneKind::kSharded)
+    add("sharded", Formulation::kSharded);
+    add("sharded-nocuts", Formulation::kSharded)
         ->pipeline.global.mip.max_cut_rounds = 0;
-    add("sharded-heur", LaneKind::kSharded)
+    add("sharded-heur", Formulation::kSharded)
         ->pipeline.global.mip.heuristic_period = 64;
-    add("sharded-morecuts", LaneKind::kSharded)
+    add("sharded-morecuts", Formulation::kSharded)
         ->pipeline.global.mip.max_cut_rounds = 16;
-    add("sharded-nobases", LaneKind::kSharded)
+    add("sharded-nobases", Formulation::kSharded)
         ->pipeline.global.mip.max_stored_bases = 0;
-    add("sharded-lazyheur", LaneKind::kSharded)
+    add("sharded-lazyheur", Formulation::kSharded)
         ->pipeline.global.mip.heuristic_period = 1024;
   } else {
     // Single-device menu, ordered by Table-3 expectation: the pipeline
@@ -189,14 +94,14 @@ std::vector<PortfolioLane> default_portfolio_lanes(
     // on small instances, and the knob variants hedge against cut or
     // heuristic pathologies.  "sharded" degenerates to map_pipeline on
     // one device — the ROADMAP's map_sharded-vs-map_pipeline race.
-    add("global", LaneKind::kGlobal);
-    add("complete", LaneKind::kComplete);
-    add("global-nocuts", LaneKind::kGlobal)
+    add("global", Formulation::kGlobal);
+    add("complete", Formulation::kComplete);
+    add("global-nocuts", Formulation::kGlobal)
         ->pipeline.global.mip.max_cut_rounds = 0;
-    add("sharded", LaneKind::kSharded);
-    add("global-heur", LaneKind::kGlobal)
+    add("sharded", Formulation::kSharded);
+    add("global-heur", Formulation::kGlobal)
         ->pipeline.global.mip.heuristic_period = 64;
-    add("global-morecuts", LaneKind::kGlobal)
+    add("global-morecuts", Formulation::kGlobal)
         ->pipeline.global.mip.max_cut_rounds = 16;
   }
   out.resize(static_cast<std::size_t>(count));
@@ -207,9 +112,8 @@ PortfolioResult solve_portfolio(support::ThreadPool& pool,
                                 const design::Design& design,
                                 const arch::Board& board,
                                 const PortfolioOptions& options) {
-  PortfolioResult out;
   const std::size_t n = options.lanes.size();
-  if (n == 0) return out;
+  if (n == 0) return {};
   const support::WallTimer timer;
   const support::CancelTokenPtr& parent = options.cancel_token;
 
@@ -234,15 +138,18 @@ PortfolioResult solve_portfolio(support::ThreadPool& pool,
   std::size_t done = 0;
   int winner = -1;
   double first_prove = -1.0;
-  std::vector<LaneOutcome> outcomes(n);
+  std::vector<SolveOutcome> outcomes(n);
+  std::vector<LaneReport> reports(n);
 
   for (std::size_t i = 0; i < n; ++i) {
     pool.submit([&, i] {
-      LaneOutcome outcome = run_lane(design, board, options.lanes[i],
-                                     tokens[i]);
+      LaneReport report;
+      SolveOutcome outcome =
+          run_lane(design, board, options.lanes[i], tokens[i], report);
       const std::lock_guard<std::mutex> lock(mutex);
-      const bool proof = outcome.report.proved;
+      const bool proof = report.proved;
       outcomes[i] = std::move(outcome);
+      reports[i] = std::move(report);
       if (proof && winner < 0) {
         winner = static_cast<int>(i);
         first_prove = timer.seconds();
@@ -275,68 +182,38 @@ PortfolioResult solve_portfolio(support::ThreadPool& pool,
   // Pick the result: the first prover; else the best usable incumbent
   // (lowest objective, ties to the earliest lane); else the most
   // informative failure.
-  int pick = winner;
-  if (pick < 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const LaneOutcome& o = outcomes[i];
-      if (!o.report.usable) continue;
-      if (pick < 0 ||
-          o.assignment.objective <
-              outcomes[static_cast<std::size_t>(pick)].assignment.objective) {
-        pick = static_cast<int>(i);
-      }
-    }
-  }
-  if (pick < 0) {
-    const auto rank = [](const LaneReport& r) {
-      if (!r.ran) return 3;
-      if (r.status == lp::SolveStatus::kInfeasible) return 0;
-      if (r.status == lp::SolveStatus::kTimeLimit ||
-          r.stop_reason == lp::SolveStatus::kTimeLimit) {
-        return 1;
-      }
-      return 2;
-    };
-    pick = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (rank(outcomes[i].report) <
-          rank(outcomes[static_cast<std::size_t>(pick)].report)) {
-        pick = static_cast<int>(i);
-      }
-    }
+  const auto preference = [&reports](std::size_t i) {
+    const LaneReport& r = reports[i];
+    const bool timed_out = r.status == lp::SolveStatus::kTimeLimit ||
+                           r.stop_reason == lp::SolveStatus::kTimeLimit;
+    const int rank = r.usable                                   ? 0
+                     : !r.ran                                   ? 4
+                     : r.status == lp::SolveStatus::kInfeasible ? 1
+                     : timed_out                                ? 2
+                                                                : 3;
+    return std::pair(rank, r.usable ? r.objective : 0.0);
+  };
+  std::size_t pick = winner >= 0 ? static_cast<std::size_t>(winner) : 0;
+  for (std::size_t i = 1; i < n && winner < 0; ++i) {
+    if (preference(i) < preference(pick)) pick = i;
   }
 
-  LaneOutcome& chosen = outcomes[static_cast<std::size_t>(pick)];
-  out.status = chosen.report.ran ? chosen.report.status
-                                 : lp::SolveStatus::kCancelled;
-  out.assignment = std::move(chosen.assignment);
-  out.detailed = std::move(chosen.detailed);
-  out.model_size = chosen.model_size;
-  out.effort = chosen.effort;
-  out.retries = chosen.retries;
-  out.mip = std::move(chosen.mip);
-  out.device_of = std::move(chosen.device_of);
-  out.shards = chosen.shards;
+  PortfolioResult out = std::move(outcomes[pick]);
+  out.formulation = options.lanes[pick].kind;
+  if (!reports[pick].ran) out.status = lp::SolveStatus::kCancelled;
   out.winner = winner;
   if (winner >= 0) {
     out.winner_name = options.lanes[static_cast<std::size_t>(winner)].name;
   }
-  out.lanes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    accumulate(out.total_effort, outcomes[i].report.effort);
-    if (outcomes[i].report.cancelled) ++out.lanes_cancelled;
-    out.lanes.push_back(std::move(outcomes[i].report));
+  out.total_effort = SolveEffort{};
+  for (const LaneReport& report : reports) {
+    out.total_effort += report.effort;
+    if (report.cancelled) ++out.lanes_cancelled;
   }
+  out.lanes = std::move(reports);
   out.seconds = timer.seconds();
   out.first_prove_seconds = first_prove >= 0.0 ? first_prove : out.seconds;
   return out;
-}
-
-PortfolioResult solve_portfolio(const design::Design& design,
-                                const arch::Board& board,
-                                const PortfolioOptions& options) {
-  support::ThreadPool pool(options.lanes.empty() ? 1 : options.lanes.size());
-  return solve_portfolio(pool, design, board, options);
 }
 
 }  // namespace gmm::mapping

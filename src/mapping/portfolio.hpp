@@ -18,9 +18,9 @@
 // never returns a worse objective than any single lane at gap 0, and
 // the winner's proof is cacheable exactly like a single solve's.
 //
-// Determinism: a 1-lane portfolio is bitwise-identical to calling the
-// lane's mapper directly (the child token only adds cancellation polls,
-// which never alter the search path).  With N lanes the WINNER identity
+// Determinism: a 1-lane portfolio is bitwise-identical to solving the
+// lane's formulation directly (the child token only adds cancellation
+// polls, which never alter the search path).  With N lanes the WINNER identity
 // depends on timing, but every prover proves the same optimum, so the
 // returned objective is deterministic at gap 0 across worker counts.
 #pragma once
@@ -30,37 +30,23 @@
 
 #include "arch/board.hpp"
 #include "design/design.hpp"
-#include "mapping/complete_mapper.hpp"
-#include "mapping/pipeline.hpp"
-#include "mapping/shard_mapper.hpp"
+#include "mapping/solve.hpp"
 #include "support/cancellation.hpp"
 #include "support/thread_pool.hpp"
 
 namespace gmm::mapping {
 
-/// Which mapper a lane runs.
-enum class LaneKind : std::uint8_t { kGlobal, kComplete, kSharded };
-
-[[nodiscard]] const char* to_string(LaneKind kind);
-
-/// One racing lane: a mapper plus its solver configuration.
+/// One racing lane: a formulation plus its solver configuration.
 struct PortfolioLane {
   /// Winner tag for stats/reports (e.g. "global", "complete",
   /// "global-nocuts").  Should be unique within a portfolio.
   std::string name;
-  LaneKind kind = LaneKind::kGlobal;
-  /// Full options for a kGlobal lane.  A kComplete lane takes its
-  /// MipOptions and CostWeights from pipeline.global; a kSharded lane
-  /// runs these options inside every per-device pipeline.  The embedded
-  /// cancel token is IGNORED — solve_portfolio installs the lane's child
-  /// token (see PortfolioOptions::cancel_token).
+  /// kGlobal, kComplete or kSharded; a lane never nests a portfolio.
+  Formulation kind = Formulation::kGlobal;
+  /// The lane's SolveSpec::pipeline.  The embedded cancel token is
+  /// IGNORED — solve_portfolio installs the lane's child token (see
+  /// PortfolioOptions::cancel_token).
   PipelineOptions pipeline;
-  /// kComplete only: packing-repair primal heuristic.
-  bool use_packing_heuristic = true;
-  /// kSharded only: partitioner/stitch knobs.  shard.pipeline is
-  /// overwritten with `pipeline`; on 1-device boards map_sharded
-  /// degenerates to plain map_pipeline (the ROADMAP race).
-  ShardOptions shard;
 };
 
 struct PortfolioOptions {
@@ -75,61 +61,10 @@ struct PortfolioOptions {
   support::CancelTokenPtr cancel_token;
 };
 
-/// Per-lane race outcome — the honest effort accounting that keeps
-/// portfolio results explainable.
-struct LaneReport {
-  std::string name;
-  LaneKind kind = LaneKind::kGlobal;
-  lp::SolveStatus status = lp::SolveStatus::kCancelled;
-  /// Why the lane's search ended (kOptimal = ran to natural completion;
-  /// kCancelled = lost the race or parent cancel; kTimeLimit = budget).
-  lp::SolveStatus stop_reason = lp::SolveStatus::kCancelled;
-  double objective = 0.0;  // incumbent objective when usable
-  bool ran = false;        // false: cancelled before the lane started
-  bool usable = false;     // complete assignment + successful placement
-  bool proved = false;     // optimal (or infeasible) within the gap contract
-  bool cancelled = false;  // stopped by the winner or the parent token
-  double seconds = 0.0;    // lane wall clock inside the portfolio
-  /// What this lane cost: for sharded lanes the TOTAL effort including
-  /// discarded candidates, so capacity accounting stays honest.
-  SolveEffort effort;
-  int retries = 0;
-};
-
-/// Race outcome: the winner's solve in PipelineResult shape, plus the
-/// per-lane reports.
-struct PortfolioResult {
-  lp::SolveStatus status = lp::SolveStatus::kInfeasible;
-  GlobalAssignment assignment;
-  DetailedMapping detailed;
-  ModelSize model_size;
-  /// Effort behind the RETURNED mapping (the winner's own solve).
-  SolveEffort effort;
-  int retries = 0;
-  /// The winner's final MIP solve (default-constructed for a sharded
-  /// winner, which has no single MIP result).
-  ilp::MipResult mip;
-  /// Sharded-winner extras (empty/0 for global/complete winners).
-  std::vector<int> device_of;
-  int shards = 0;
-
-  /// Index into PortfolioOptions::lanes of the first prover; -1 when no
-  /// lane proved (the result then carries the best usable incumbent, or
-  /// the most informative failure).
-  int winner = -1;
-  std::string winner_name;  // empty when winner < 0
-  std::vector<LaneReport> lanes;
-  /// Summed over EVERY lane, winners and losers alike.
-  SolveEffort total_effort;
-  int lanes_cancelled = 0;
-  double seconds = 0.0;  // full portfolio wall clock (includes drain)
-  /// Launch -> first proof; equals `seconds` when nobody proved.
-  double first_prove_seconds = 0.0;
-};
-
-/// Upper bound of the default lane menu (kept in sync with the service's
-/// SolverKnobs::kMaxLanes).
-inline constexpr int kMaxPortfolioLanes = 6;
+/// A race's outcome is the chosen lane's SolveOutcome with the race
+/// fields (winner, lanes, ...) filled in and total_effort summed over
+/// every lane.
+using PortfolioResult = SolveOutcome;
 
 /// The standard lane menu, ordered by expected time-to-proof, truncated
 /// to `lanes` (clamped to [1, kMaxPortfolioLanes]).  Every lane shares
@@ -142,16 +77,20 @@ inline constexpr int kMaxPortfolioLanes = 6;
 [[nodiscard]] std::vector<PortfolioLane> default_portfolio_lanes(
     const arch::Board& board, int lanes, const PipelineOptions& base = {});
 
-/// Race the lanes on a caller-owned pool.  Blocks until every lane has
-/// finished or acknowledged cancellation, so the reports are complete.
+/// Race the lanes on a caller-owned pool; each lane runs mapping::solve.
+/// Blocks until every lane has finished or acknowledged cancellation, so
+/// the reports are complete.
 [[nodiscard]] PortfolioResult solve_portfolio(support::ThreadPool& pool,
                                               const design::Design& design,
                                               const arch::Board& board,
                                               const PortfolioOptions& options);
 
 /// Convenience: create a pool (one worker per lane) for the call.
-[[nodiscard]] PortfolioResult solve_portfolio(const design::Design& design,
-                                              const arch::Board& board,
-                                              const PortfolioOptions& options);
+[[nodiscard]] inline PortfolioResult solve_portfolio(
+    const design::Design& design, const arch::Board& board,
+    const PortfolioOptions& options) {
+  support::ThreadPool pool(options.lanes.empty() ? 1 : options.lanes.size());
+  return solve_portfolio(pool, design, board, options);
+}
 
 }  // namespace gmm::mapping

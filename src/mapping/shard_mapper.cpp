@@ -5,7 +5,6 @@
 #include <map>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "ilp/mip_solver.hpp"
@@ -18,17 +17,6 @@
 namespace gmm::mapping {
 
 namespace {
-
-void accumulate(SolveEffort& into, const SolveEffort& from) {
-  into.preprocess_seconds += from.preprocess_seconds;
-  into.formulate_seconds += from.formulate_seconds;
-  into.solve_seconds += from.solve_seconds;
-  into.detailed_seconds += from.detailed_seconds;
-  into.bnb_nodes += from.bnb_nodes;
-  into.lp_iterations += from.lp_iterations;
-  into.lp_refactorizations += from.lp_refactorizations;
-  into.basis += from.basis;
-}
 
 void accumulate(ModelSize& into, const ModelSize& from) {
   into.variables += from.variables;
@@ -443,7 +431,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
     out.stats.candidate_solves += static_cast<std::int64_t>(items.size());
     for (std::size_t i = 0; i < uncached.size(); ++i) {
       const Candidate& cand = candidates[uncached[i]];
-      accumulate(out.total_effort, batch.results[i].effort);
+      out.total_effort += batch.results[i].effort;
       if (batch.results[i].mip.mip_start_used) ++out.stats.warm_started;
       // std::map nodes are stable, so the pointer survives later inserts.
       results[uncached[i]] =
@@ -586,7 +574,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
                                static_cast<double>(cut_traffic[cand.part]) *
                                static_cast<double>(device_pins[cand.dev]);
       out.retries += r.retries;
-      accumulate(out.effort, r.effort);
+      out.effort += r.effort;
       accumulate(out.model_size, r.model_size);
       if (r.status != lp::SolveStatus::kOptimal) all_optimal = false;
       ++out.stats.shards;
@@ -608,26 +596,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
 ShardResult map_sharded(const design::Design& design,
                         const arch::Board& board,
                         const ShardOptions& options) {
-  std::size_t workers = options.num_workers;
-  if (workers == 0) {
-    // One worker per candidate solve (usable devices squared), capped so
-    // fan-out workers x per-candidate B&B threads stays within the
-    // hardware instead of multiplying against it.
-    std::size_t usable = 0;
-    for (std::size_t k = 0; k < board.num_devices(); ++k) {
-      if (board.device_banks(k) > 0) ++usable;
-    }
-    const std::size_t cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    // num_threads 0 = "all cores" per solve, so the fan-out serializes.
-    const int solver_threads = options.pipeline.global.mip.num_threads;
-    const std::size_t per_solve =
-        solver_threads <= 0 ? cores
-                            : static_cast<std::size_t>(solver_threads);
-    const std::size_t hardware = std::max(std::size_t{1}, cores / per_solve);
-    workers = std::min(std::max<std::size_t>(usable * usable, 1), hardware);
-  }
-  support::ThreadPool pool(workers);
+  support::ThreadPool pool(options.num_workers);
   return map_sharded(pool, design, board, options);
 }
 

@@ -60,8 +60,8 @@ struct ShardOptions {
   /// Migration rounds for parts that are infeasible on every device.
   int max_repair_rounds = 8;
   /// Workers for the candidate fan-out when map_sharded creates its own
-  /// pool (0 = one per candidate, capped at hardware concurrency).  The
-  /// pool-taking overload ignores this.
+  /// pool (0 = hardware concurrency; mapping::solve sizes it to the
+  /// per-solve thread budget).  The pool-taking overload ignores this.
   std::size_t num_workers = 0;
 };
 

@@ -80,6 +80,18 @@ struct SolveEffort {
     return preprocess_seconds + formulate_seconds + solve_seconds +
            detailed_seconds;
   }
+
+  SolveEffort& operator+=(const SolveEffort& other) {
+    preprocess_seconds += other.preprocess_seconds;
+    formulate_seconds += other.formulate_seconds;
+    solve_seconds += other.solve_seconds;
+    detailed_seconds += other.detailed_seconds;
+    bnb_nodes += other.bnb_nodes;
+    lp_iterations += other.lp_iterations;
+    lp_refactorizations += other.lp_refactorizations;
+    basis += other.basis;
+    return *this;
+  }
 };
 
 }  // namespace gmm::mapping

@@ -1,6 +1,7 @@
 #include "mapping/validate.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "support/arithmetic.hpp"
@@ -18,6 +19,10 @@ std::vector<std::string> validate_mapping(const design::Design& design,
 
   if (!mapping.success) {
     violation("mapping marked unsuccessful: " + mapping.failure);
+    return violations;
+  }
+  if (assignment.type_of.size() != design.size()) {
+    violation("assignment does not cover the design");
     return violations;
   }
 
@@ -74,7 +79,8 @@ std::vector<std::string> validate_mapping(const design::Design& design,
 
   // ---- full coverage -----------------------------------------------------
   for (std::size_t d = 0; d < design.size(); ++d) {
-    if (assignment.type_of[d] < 0) {
+    if (assignment.type_of[d] < 0 ||
+        assignment.type_of[d] >= static_cast<int>(board.num_types())) {
       violation(design.at(d).name + ": structure left unassigned");
       continue;
     }
@@ -158,6 +164,25 @@ std::vector<std::string> validate_mapping(const design::Design& design,
     }
   }
   return violations;
+}
+
+Certificate certify_mapping(const design::Design& design,
+                            const arch::Board& board,
+                            const GlobalAssignment& assignment,
+                            const DetailedMapping& mapping,
+                            double stitch_cost, const CostWeights& weights) {
+  Certificate out{validate_mapping(design, board, assignment, mapping)};
+  if (!out.ok()) return out;
+  out.objective = CostTable(design, board, weights)
+                      .assignment_objective(assignment.type_of) +
+                  stitch_cost;
+  if (std::abs(out.objective - assignment.objective) >
+      1e-6 * std::max(1.0, std::abs(assignment.objective))) {
+    out.problems.push_back(
+        "objective " + std::to_string(assignment.objective) +
+        " but the assignment costs " + std::to_string(out.objective));
+  }
+  return out;
 }
 
 }  // namespace gmm::mapping

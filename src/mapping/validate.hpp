@@ -1,8 +1,10 @@
-// Legality checking of a detailed mapping.
+// Legality checking and certification of a detailed mapping.
 //
-// Used by tests (the global->detailed success-guarantee property), by the
-// pipeline as a paranoia gate, and by the complete mapper to vet its
-// packing heuristic.  Checks, per violation string returned:
+// validate_mapping is used by tests (the global->detailed
+// success-guarantee property) and by certify_mapping, the check every
+// answer passes before it is served: mapping::solve runs it on each fresh
+// outcome and the solution cache on each replay.  Checks, per violation
+// string returned:
 //   * every structure's fragments exactly cover depth x width data bits,
 //   * fragments sit on existing instances of the assigned type,
 //   * per instance: port demand within P_t, port ranges disjoint,
@@ -17,6 +19,7 @@
 
 #include "arch/board.hpp"
 #include "design/design.hpp"
+#include "mapping/cost_model.hpp"
 #include "mapping/types.hpp"
 
 namespace gmm::mapping {
@@ -26,5 +29,23 @@ std::vector<std::string> validate_mapping(const design::Design& design,
                                           const arch::Board& board,
                                           const GlobalAssignment& assignment,
                                           const DetailedMapping& mapping);
+
+struct Certificate {
+  std::vector<std::string> problems;  // violations or objective mismatch
+  double objective = 0.0;  // the recompute, when the mapping is legal
+
+  [[nodiscard]] bool ok() const { return problems.empty(); }
+};
+
+/// Certify an answer: the mapping is legal (validate_mapping) and
+/// `assignment.objective` equals CostTable::assignment_objective plus
+/// `stitch_cost` (a sharded mapping's inter-device transfer term) within
+/// 1e-6 relative.
+[[nodiscard]] Certificate certify_mapping(const design::Design& design,
+                                          const arch::Board& board,
+                                          const GlobalAssignment& assignment,
+                                          const DetailedMapping& mapping,
+                                          double stitch_cost = 0.0,
+                                          const CostWeights& weights = {});
 
 }  // namespace gmm::mapping

@@ -4,17 +4,9 @@
 #include <sstream>
 #include <utility>
 
-#include <cmath>
-
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
-#include "mapping/complete_mapper.hpp"
-#include "mapping/cost_model.hpp"
-#include "mapping/pipeline.hpp"
-#include "mapping/portfolio.hpp"
-#include "mapping/remap.hpp"
-#include "mapping/shard_mapper.hpp"
-#include "mapping/validate.hpp"
+#include "mapping/solve.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
 #include "support/log.hpp"
@@ -429,332 +421,87 @@ void MappingService::run_map(const std::string& id, int version,
   const design::Design& design = parsed.design;
   if (design.size() == 0) return bail("design has no segments");
 
-  ilp::MipOptions mip;
+  mapping::SolveSpec spec;
+  spec.formulation = request.formulation;
+  ilp::MipOptions& mip = spec.pipeline.global.mip;
   mip.cancel_token = token;
   mip.progress = progress;
   // The one shared mapping from wire knobs onto MipOptions (gap,
   // node/time budgets, basis cache, threads clamped to the server cap).
   apply_solver_knobs(request.knobs, options_.max_threads_per_solve, mip);
+  spec.lanes = request.knobs.lanes;
+  spec.max_threads = options_.max_threads_per_solve;
 
-  // ---- solution cache: exact-hit replay ----------------------------------
   // Sharded solves bypass the cache entirely: their objective includes
-  // the stitch transfer term, which the replay verifier cannot recompute
-  // from a single-board CostTable.
+  // the stitch transfer term, which a single-board replay cannot see.
+  const bool sharded = request.formulation == mapping::Formulation::kSharded;
   const bool cacheable =
-      cache_.enabled() && !request.sharded && !request.knobs.no_cache;
-  RequestFingerprint fp;
-  RequestFingerprint fp_complete;  // portfolio only: the complete-keyed twin
-  bool have_fp_complete = false;
-  std::vector<std::size_t> type_by_rank;    // canonical rank -> flat index
-  std::optional<CacheEntry> prior;          // near-miss seed (global path)
-  bool verify_failed = false;
-  bool near_miss = false;
+      cache_.enabled() && !sharded && !request.knobs.no_cache;
+  CacheLookup lookup;
   if (cacheable) {
-    support::WallTimer replay_timer;
-    fp = fingerprint_request(design, *board,
-                             request.complete ? CachedFormulation::kComplete
-                                              : CachedFormulation::kGlobal,
-                             mip.rel_gap);  // the EFFECTIVE gap after knobs
-    type_by_rank.resize(board->num_types());
-    for (std::size_t t = 0; t < board->num_types(); ++t) {
-      type_by_rank[fp.type_rank[t]] = t;
-    }
-    // A portfolio request probes BOTH single-solve keys: its winner is
-    // cached under the winner's formulation (exactly as a single solve
-    // would be), so a prior global OR complete proof satisfies the same
-    // gap contract either way.
-    std::vector<const RequestFingerprint*> probes{&fp};
-    if (request.portfolio) {
-      fp_complete = fingerprint_request(
-          design, *board, CachedFormulation::kComplete, mip.rel_gap);
-      have_fp_complete = true;
-      probes.push_back(&fp_complete);
-    }
-    for (const RequestFingerprint* probe : probes) {
-      std::optional<CacheEntry> hit = cache_.find(probe->full);
-      // A colliding fingerprint whose conflict relation or parameters
-      // over canonical ranks differ is another problem: a plain miss.
-      if (!hit.has_value() || !hit->same_problem(*probe)) continue;
-      // Replay through the canonical permutations, then RE-VERIFY against
-      // THIS request's design and board: a poisoned entry degrades to a
-      // verify-fail miss, never a wrong answer.
-      std::vector<std::size_t> probe_type_by_rank(board->num_types());
-      for (std::size_t t = 0; t < board->num_types(); ++t) {
-        probe_type_by_rank[probe->type_rank[t]] = t;
-      }
-      mapping::GlobalAssignment replayed;
-      mapping::DetailedMapping mapped;
-      bool ok = hit->num_structures == design.size() &&
-                hit->num_types == board->num_types() &&
-                hit->type_of_by_rank.size() == design.size();
-      if (ok) {
-        std::vector<std::size_t> ds_by_rank(design.size());
-        for (std::size_t d = 0; d < design.size(); ++d) {
-          ds_by_rank[probe->structure_rank[d]] = d;
-        }
-        replayed.type_of.assign(design.size(), -1);
-        for (std::size_t d = 0; d < design.size() && ok; ++d) {
-          const int tr = hit->type_of_by_rank[probe->structure_rank[d]];
-          ok = tr >= 0 && tr < static_cast<int>(board->num_types());
-          if (ok) {
-            replayed.type_of[d] = static_cast<int>(
-                probe_type_by_rank[static_cast<std::size_t>(tr)]);
-          }
-        }
-        for (const mapping::PlacedFragment& f : hit->fragments_by_rank) {
-          if (!ok) break;
-          ok = f.ds < design.size() && f.type < board->num_types();
-          if (ok) {
-            mapping::PlacedFragment placed = f;
-            placed.ds = ds_by_rank[f.ds];
-            placed.type = probe_type_by_rank[f.type];
-            mapped.fragments.push_back(placed);
-          }
-        }
-        mapped.success = ok;
-      }
-      if (ok) {
-        ok = mapping::validate_mapping(design, *board, replayed, mapped)
-                 .empty();
-      }
-      if (ok) {
-        const mapping::CostTable table(design, *board);
-        replayed.objective = table.assignment_objective(replayed.type_of);
-        ok = std::abs(replayed.objective - hit->objective) <=
-             1e-6 * std::max(1.0, std::abs(hit->objective));
-      }
-      // Injected entry corruption: the replay verified fine, but we
-      // pretend it did not — driving the exact poison/cold-solve/alert
-      // path a genuinely corrupted entry would take.
-      if (ok && GMM_FAULT("cache.verify", "corrupt")) ok = false;
-      if (ok) {
-        {
-          const std::scoped_lock lock(mutex_);
-          ++stats_.cache.hits;
-        }
-        response.status = ResponseStatus::kOk;
-        response.has_result = true;
-        response.cached = true;
-        response.solve_status = hit->solve_status;
-        response.objective = replayed.objective;
-        response.nodes = 0;
-        response.seconds = replay_timer.seconds();
-        response.retries = hit->retries;
-        append_placements(response, design, *board, mapped);
-        finish(std::move(response));
-        return;
-      }
-      // Poison the colliding key: left in place it would verify-fail on
-      // every future resubmission of this request.
-      cache_.erase(probe->full);
-      verify_failed = true;
-      // Alert once per fingerprint — repeated corruption of the same
-      // entry (or a hot key being resubmitted) must not storm the log.
+    const support::WallTimer replay_timer;
+    // Keyed on the EFFECTIVE gap after knobs.
+    lookup =
+        cache_.lookup(design, *board, request.formulation, mip.rel_gap, id);
+    if (lookup.hit) {
       {
         const std::scoped_lock lock(mutex_);
-        if (logged_poisoned_.insert(probe->full).second) {
-          GMM_LOG(kWarn) << "cache: poisoned entry evicted, fingerprint "
-                         << probe->full.hi << ":" << probe->full.lo
-                         << " failed replay verification (request '" << id
-                         << "'); answering with a cold solve";
-        }
+        ++stats_.cache.hits;
       }
+      response.status = ResponseStatus::kOk;
+      response.has_result = true;
+      response.cached = true;
+      response.solve_status = lookup.solve_status;
+      response.objective = lookup.objective;
+      response.seconds = replay_timer.seconds();
+      response.retries = lookup.retries;
+      append_placements(response, design, *board, lookup.replay);
+      finish(std::move(response));
+      return;
     }
-    // Near-miss warm re-solves stay a plain-global feature: a portfolio
-    // request races cold (its lanes' value is finding the fast prover).
-    if (!request.complete && !request.portfolio) {
-      prior = cache_.find_structural(fp.structural);
-      // Pins and the MIP start only carry over within one conflict
-      // relation; a colliding structural key is a plain miss too.
-      if (prior.has_value() && !prior->same_conflicts(fp)) prior.reset();
-    }
+    // NEAR MISS: same structure, board and contract, new traffic.
+    spec.prior_type_of = lookup.prior_type_of;
+    spec.pinned_structures = lookup.pinned_structures;
+    spec.migration_penalty = options_.near_miss_migration_penalty;
   }
+  const mapping::SolveOutcome outcome = mapping::solve(design, *board, spec);
 
-  // Every formulation lands in the same (status, assignment, detailed,
-  // effort, mip) shape; retries and the shard counters are specific to
-  // the pipeline/sharded paths.
-  lp::SolveStatus status = SolveStatus::kNumericalFailure;
-  mapping::GlobalAssignment assignment;
-  mapping::DetailedMapping detailed;
-  mapping::SolveEffort effort;        // behind the returned mapping
-  mapping::SolveEffort total_effort;  // all work executed (= effort
-                                      // except for sharded/portfolio)
-  ilp::MipResult mip_result;
-  mapping::ShardStats shard_stats;
-  // Cache-insertion keying for the portfolio path: the winner's proof is
-  // inserted exactly as the equivalent single solve would be, under the
-  // winner's formulation key.  Sharded winners are never inserted (no
-  // single-MIP proof to replay against).
-  bool insert_allowed = true;
-  bool insert_as_complete = request.complete;
-  std::string portfolio_winner;       // stats histogram key, "" = no win
-  std::int64_t portfolio_lanes = 0;
-  std::int64_t portfolio_cancelled = 0;
-  if (request.portfolio) {
-    mapping::PortfolioOptions options;
-    options.cancel_token = token;
-    mapping::PipelineOptions base;
-    base.global.mip = mip;
-    const int lane_count =
-        request.knobs.lanes >= 1 ? request.knobs.lanes : 3;
-    options.lanes = mapping::default_portfolio_lanes(*board, lane_count, base);
-    // The operator's per-solve parallelism budget covers the whole race:
-    // lane workers x per-lane B&B threads stays within
-    // max_threads_per_solve, mirroring the sharded fan-out policy.
-    const auto budget = static_cast<std::size_t>(
-        std::max(1, options_.max_threads_per_solve /
-                        std::max(1, mip.num_threads)));
-    support::ThreadPool race_pool(
-        std::max<std::size_t>(std::min(budget, options.lanes.size()), 1));
-    mapping::PortfolioResult result =
-        mapping::solve_portfolio(race_pool, design, *board, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = result.total_effort;
-    mip_result = std::move(result.mip);
-    response.retries = result.retries;
-    response.lanes = static_cast<int>(result.lanes.size());
-    response.winner = result.winner_name;
-    response.lanes_cancelled = result.lanes_cancelled;
-    if (result.shards > 1) response.shards = result.shards;
-    portfolio_winner = result.winner_name;
-    portfolio_lanes = static_cast<std::int64_t>(result.lanes.size());
-    portfolio_cancelled = result.lanes_cancelled;
-    if (result.winner >= 0) {
-      const mapping::LaneKind kind =
-          options.lanes[static_cast<std::size_t>(result.winner)].kind;
-      insert_allowed = kind != mapping::LaneKind::kSharded;
-      insert_as_complete = kind == mapping::LaneKind::kComplete;
-    } else {
-      insert_allowed = false;
-    }
-  } else if (request.sharded) {
-    mapping::ShardOptions options;
-    options.pipeline.global.mip = mip;
-    // The operator's per-solve parallelism budget covers the whole
-    // sharded solve: fan-out workers x per-candidate B&B threads stays
-    // within max_threads_per_solve instead of each request spinning up
-    // a hardware-concurrency pool of its own — and never more workers
-    // than there are candidate solves to run.
-    std::size_t usable = 0;
-    for (std::size_t k = 0; k < board->num_devices(); ++k) {
-      if (board->device_banks(k) > 0) ++usable;
-    }
-    const auto budget = static_cast<std::size_t>(
-        std::max(1, options_.max_threads_per_solve /
-                        std::max(1, mip.num_threads)));
-    options.num_workers =
-        std::max<std::size_t>(std::min(budget, usable * usable), 1);
-    mapping::ShardResult result =
-        mapping::map_sharded(design, *board, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = result.total_effort;
-    shard_stats = result.stats;
-    response.retries = result.retries;
-    response.shards = result.stats.shards;
-    response.stitch_cost = result.stats.stitch_cost;
-  } else if (request.complete) {
-    const mapping::CostTable table(design, *board);
-    mapping::CompleteOptions options;
-    options.mip = mip;
-    mapping::CompleteResult result =
-        mapping::map_complete(design, *board, table, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = effort;
-    mip_result = std::move(result.mip);
-  } else {
-    mapping::PipelineOptions options;
-    options.global.mip = mip;
-    mapping::PipelineResult result;
-    bool warm_solved = false;
-    if (prior.has_value() && prior->num_structures == design.size() &&
-        prior->num_types == board->num_types() &&
-        prior->type_of_by_rank.size() == design.size()) {
-      // NEAR MISS: same structure/board/contract, different traffic.
-      // Re-solve incrementally from the cached assignment — B&B seeded
-      // with the prior mapping, traffic-unchanged structures pinned, a
-      // small migration term biasing toward stability (remap.hpp).  The
-      // result is NOT inserted back: its optimality proof is for the
-      // pinned model, and the cache only serves unconstrained proofs.
-      std::vector<int> prior_type_of(design.size(), -1);
-      mapping::RemapOptions remap_options;
-      remap_options.pipeline = options;
-      remap_options.migration_penalty = options_.near_miss_migration_penalty;
-      bool aligned = true;
-      for (std::size_t d = 0; d < design.size() && aligned; ++d) {
-        const std::size_t r = fp.structure_rank[d];
-        const int tr = prior->type_of_by_rank[r];
-        aligned = tr >= 0 && tr < static_cast<int>(board->num_types());
-        if (!aligned) break;
-        prior_type_of[d] =
-            static_cast<int>(type_by_rank[static_cast<std::size_t>(tr)]);
-        if (fp.param_hash_by_rank[r] == prior->param_hash_by_rank[r]) {
-          remap_options.pinned_structures.push_back(d);
-        }
-      }
-      if (aligned) {
-        mapping::RemapResult warm =
-            mapping::remap(design, *board, prior_type_of, remap_options);
-        result = std::move(warm.result);
-        near_miss = true;
-        warm_solved = true;
-      }
-    }
-    if (!warm_solved) result = mapping::map_pipeline(design, *board, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = effort;
-    mip_result = std::move(result.mip);
-    response.retries = result.retries;
-  }
-
-  // Fold this solve's effort into the aggregate counters the `stats`
-  // method reports.  `total_effort` counts every solve the request
-  // triggered — pipeline retries, and for sharded requests the whole
-  // candidate fan-out including solves the stitch discarded — while the
-  // response's own nodes/seconds fields (below) report only the work
-  // behind the returned mapping.
+  // The `stats` counters charge every solve the request triggered
+  // (retries, discarded shard candidates, losing lanes); the response's
+  // nodes/seconds report only the work behind the returned mapping.
   {
     const std::scoped_lock lock(mutex_);
     ++stats_.solves;
-    stats_.nodes += total_effort.bnb_nodes;
-    stats_.lp_iterations += total_effort.lp_iterations;
-    stats_.refactorizations += total_effort.lp_refactorizations;
-    stats_.basis += total_effort.basis;
-    if (request.sharded) {
+    stats_.nodes += outcome.total_effort.bnb_nodes;
+    stats_.lp_iterations += outcome.total_effort.lp_iterations;
+    stats_.refactorizations += outcome.total_effort.lp_refactorizations;
+    stats_.basis += outcome.total_effort.basis;
+    if (!outcome.certify_failure.empty()) ++stats_.certify_fails;
+    if (sharded) {
       ++stats_.sharded_requests;
-      stats_.shard_solves += shard_stats.candidate_solves;
+      stats_.shard_solves += outcome.shard.candidate_solves;
     }
-    if (request.portfolio) {
+    if (request.formulation == mapping::Formulation::kPortfolio) {
       ++stats_.portfolio.requests;
-      stats_.portfolio.lanes_launched += portfolio_lanes;
-      stats_.portfolio.lanes_cancelled += portfolio_cancelled;
-      if (!portfolio_winner.empty()) {
-        ++stats_.portfolio.winners[portfolio_winner];
+      stats_.portfolio.lanes_launched +=
+          static_cast<std::int64_t>(outcome.lanes.size());
+      stats_.portfolio.lanes_cancelled += outcome.lanes_cancelled;
+      if (!outcome.winner_name.empty()) {
+        ++stats_.portfolio.winners[outcome.winner_name];
       }
     }
     // The request consulted the cache and a solve ran anyway: a miss
     // (near_misses / verify_fails break the misses down further).
     if (cacheable) {
       ++stats_.cache.misses;
-      if (near_miss) ++stats_.cache.near_misses;
-      if (verify_failed) ++stats_.cache.verify_fails;
+      if (!spec.prior_type_of.empty()) ++stats_.cache.near_misses;
+      if (lookup.verify_failed) ++stats_.cache.verify_fails;
     } else {
       ++stats_.cache.bypasses;
     }
   }
 
-  response.status = classify(status, mip_result);
+  response.status = classify(outcome.status, outcome.mip);
   // A watchdog kill travels through the ordinary cancellation machinery
   // (the solver stops with kCancelled); the token's cause upgrades the
   // wire status so clients can tell "you cancelled it" from "the server
@@ -766,82 +513,43 @@ void MappingService::run_map(const std::string& id, int version,
   // Verify-fail cold solves are explicitly NOT degraded: corruption was
   // detected and the client got a fresh full-fidelity solve.  The marker
   // (plus the verify_fails counter) is what monitoring alerts on.
-  if (verify_failed) response.degraded = 0;
-  // A result payload only when the solve produced a usable mapping —
-  // i.e. detailed placement succeeded.  This excludes both a
-  // timeout/cancel/infeasible with no incumbent (whose
-  // default-constructed objective of 0 would read as a perfect score)
-  // and a retry-loop early exit whose stale global assignment never
-  // packed (objective without placements).
-  if (detailed.success && assignment.complete()) {
+  if (lookup.verify_failed) response.degraded = 0;
+  response.retries = outcome.retries;
+  // Multi-device answers report their shards and stitch term; a sharded
+  // request always does (one shard on a single-device board).
+  if (sharded || outcome.shard.shards > 1) {
+    response.shards = outcome.shard.shards;
+    response.stitch_cost = outcome.shard.stitch_cost;
+  }
+  response.lanes = static_cast<int>(outcome.lanes.size());
+  response.winner = outcome.winner_name;
+  response.lanes_cancelled = outcome.lanes_cancelled;
+  // A result payload only with a certified mapping: never an objective
+  // of 0 without an incumbent, nor one whose assignment never packed.
+  if (outcome.has_mapping()) {
     response.has_result = true;
-    response.solve_status = lp::to_string(status);
-    if (mip_result.stop_reason != SolveStatus::kOptimal &&
+    response.solve_status = lp::to_string(outcome.status);
+    if (outcome.mip.stop_reason != SolveStatus::kOptimal &&
         response.status != ResponseStatus::kStalled) {
-      response.stop_reason = lp::to_string(mip_result.stop_reason);
+      response.stop_reason = lp::to_string(outcome.mip.stop_reason);
     }
-    response.objective = assignment.objective;
-    response.nodes = effort.bnb_nodes;
-    response.seconds = effort.total_seconds();
+    response.objective = outcome.assignment.objective;
+    response.nodes = outcome.effort.bnb_nodes;
+    response.seconds = outcome.effort.total_seconds();
+    append_placements(response, design, *board, outcome.detailed);
   }
   if (response.status == ResponseStatus::kError) {
     response.error =
-        "solver failed: " + std::string(lp::to_string(status));
+        outcome.certify_failure.empty()
+            ? "solver failed: " + std::string(lp::to_string(outcome.status))
+            : "answer failed certification: " + outcome.certify_failure;
   }
-  // Taxonomy for solve outcomes: timeouts, stalls, and internal solver
-  // failures are transient server-side conditions (retryable); cancelled
-  // and infeasible are deterministic for this request.
+  // Timeouts, stalls and internal failures (a failed certification
+  // included) are transient; cancelled and infeasible are deterministic.
   response.retryable = response.status == ResponseStatus::kTimeout ||
                        response.status == ResponseStatus::kStalled ||
                        response.status == ResponseStatus::kError;
-  if (detailed.success) append_placements(response, design, *board, detailed);
-
-  // Insert only fully PROVED cold results: solve status optimal AND the
-  // B&B ran to its proof (stop_reason optimal), so node/time budgets
-  // never need to join the fingerprint and a replay is exactly what a
-  // fresh solve would return.  Near-miss results stay out — their proof
-  // is for the pinned model.
-  const RequestFingerprint& insert_fp =
-      insert_as_complete && have_fp_complete ? fp_complete : fp;
-  if (cacheable && insert_allowed && !near_miss &&
-      status == SolveStatus::kOptimal &&
-      mip_result.stop_reason == SolveStatus::kOptimal && detailed.success &&
-      assignment.complete() && assignment.type_of.size() == design.size()) {
-    CacheEntry entry;
-    entry.key = insert_fp.full;
-    entry.structural = insert_fp.structural;
-    entry.num_structures = design.size();
-    entry.num_types = board->num_types();
-    entry.type_of_by_rank.assign(design.size(), -1);
-    bool canonical = true;
-    for (std::size_t d = 0; d < design.size() && canonical; ++d) {
-      const int t = assignment.type_of[d];
-      canonical = t >= 0 && t < static_cast<int>(board->num_types());
-      if (canonical) {
-        entry.type_of_by_rank[insert_fp.structure_rank[d]] = static_cast<int>(
-            insert_fp.type_rank[static_cast<std::size_t>(t)]);
-      }
-    }
-    entry.fragments_by_rank.reserve(detailed.fragments.size());
-    for (const mapping::PlacedFragment& f : detailed.fragments) {
-      if (!canonical) break;
-      canonical = f.ds < design.size() && f.type < board->num_types();
-      if (canonical) {
-        mapping::PlacedFragment canon = f;
-        canon.ds = insert_fp.structure_rank[f.ds];
-        canon.type = insert_fp.type_rank[f.type];
-        entry.fragments_by_rank.push_back(canon);
-      }
-    }
-    if (canonical) {
-      entry.param_hash_by_rank = insert_fp.param_hash_by_rank;
-      entry.conflicts_by_rank = insert_fp.conflicts_by_rank;
-      entry.objective = assignment.objective;
-      entry.retries = response.retries;
-      entry.solve_status = lp::to_string(status);
-      cache_.insert(std::move(entry));
-    }
-  }
+  if (cacheable) cache_.insert_solved(lookup, design, *board, outcome);
   finish(std::move(response));
 }
 

@@ -1,9 +1,9 @@
 // Long-lived asynchronous mapping service.
 //
-// The serving-path layer above mapping::map_batch: boards are parsed once
-// at startup (plus optional per-request inline boards) and shared
-// read-only, while map requests fan out over a ThreadPool.  On top of the
-// batch driver's design it adds what a long-lived server needs:
+// Boards are parsed once at startup (plus optional per-request inline
+// boards) and shared read-only, while map requests fan out over a
+// ThreadPool and solve through mapping::solve, which certifies every
+// answer.  On top of that the service adds what a server needs:
 //
 //   * a BOUNDED admission queue — requests beyond `max_pending`
 //     (queued + in-flight) are rejected immediately instead of building
@@ -17,7 +17,7 @@
 //   * a fingerprint-keyed SOLUTION CACHE — an exact resubmission replays
 //     a previously PROVED mapping (re-verified against this request)
 //     instead of solving, and a traffic-only mutation re-solves
-//     incrementally from the cached assignment via mapping::remap
+//     incrementally from the cached assignment (a near-miss prior)
 //     (see service/solution_cache.hpp; per-request opt-out with
 //     options.no_cache, disable with cache_capacity = 0);
 //   * adaptive OVERLOAD SHEDDING — when the smoothed OBSERVED queue
@@ -46,7 +46,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,10 +170,6 @@ class MappingService {
   /// Smoothed admission-to-pickup delay in ms (guarded by mutex_), the
   /// overload signal the shedding threshold compares against.
   double queue_delay_ewma_ms_ = 0.0;
-  /// Fingerprints whose poisoned cache entries were already logged: the
-  /// alert fires once per fingerprint, not once per corrupted replay —
-  /// repeated corruption must not become a log storm.
-  std::set<Fingerprint> logged_poisoned_;
 
   /// Watchdog thread state; the thread only exists when
   /// options_.watchdog_window_ms > 0.

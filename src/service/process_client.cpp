@@ -191,13 +191,11 @@ std::optional<std::string> ProcessClient::read_line(double timeout_seconds) {
       if (errno == EINTR) continue;
       return std::nullopt;
     }
-    if (n == 0) {  // EOF: drain whatever is left as a final partial line
+    if (n == 0) {
+      // EOF.  An unterminated tail is a response the peer died writing
+      // (a dropped connection), not a line: discard it.
       close_fd(from_child_);
-      if (!buffer_.empty()) {
-        std::string line = std::move(buffer_);
-        buffer_.clear();
-        return line;
-      }
+      buffer_.clear();
       return std::nullopt;
     }
     buffer_.append(chunk, static_cast<std::size_t>(n));

@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <array>
+#include <optional>
 #include <string_view>
 
 #include "support/fault.hpp"
@@ -85,24 +86,18 @@ Request parse_request_line(const std::string& line) {
           "map requests need exactly one of 'design_text' or 'design_path'";
       return request;
     }
-    // "formulation" wins over the oldest-style flat "complete":true flag;
-    // both canonicalize onto the same booleans.
-    const std::string formulation =
-        object.get_string("formulation", object.get_bool("complete", false)
-                                             ? "complete"
-                                             : "global");
-    if (formulation == "complete") {
-      request.map.complete = true;
-    } else if (formulation == "sharded") {
-      request.map.sharded = true;
-    } else if (formulation == "portfolio") {
-      request.map.portfolio = true;
-    } else if (formulation != "global") {
+    // "formulation" wins over the oldest-style flat "complete":true flag.
+    const std::optional<mapping::Formulation> formulation =
+        mapping::parse_formulation(object.get_string(
+            "formulation",
+            object.get_bool("complete", false) ? "complete" : "global"));
+    if (!formulation.has_value()) {
       request.error =
           "'formulation' must be 'global', 'complete', 'sharded' or "
           "'portfolio'";
       return request;
     }
+    request.map.formulation = *formulation;
     const Json* deadline = object.find("deadline_ms");
     if (deadline != nullptr) {
       if (!deadline->is_number() || deadline->as_number() < 0) {
@@ -233,6 +228,7 @@ Json Response::to_json() const {
     solver["refactorizations"] = stats.refactorizations;
     solver["sharded_requests"] = stats.sharded_requests;
     solver["shard_solves"] = stats.shard_solves;
+    solver["certify_fails"] = stats.certify_fails;
     solver["bases_stored"] = stats.basis.stored;
     solver["bases_loaded"] = stats.basis.loaded;
     solver["bases_evicted"] = stats.basis.evicted;
@@ -376,6 +372,7 @@ bool Response::from_json(const Json& value, Response& out) {
       out.stats.refactorizations = scount("refactorizations");
       out.stats.sharded_requests = scount("sharded_requests");
       out.stats.shard_solves = scount("shard_solves");
+      out.stats.certify_fails = scount("certify_fails");
       out.stats.basis.stored = scount("bases_stored");
       out.stats.basis.loaded = scount("bases_loaded");
       out.stats.basis.evicted = scount("bases_evicted");

@@ -57,23 +57,30 @@
 //   force-cancelled a solve that stopped making progress.  A "sharded"
 //   map additionally reports "shards" (per-device sub-mappings stitched
 //   together) and "stitch_cost" (the weighted inter-device transfer term
-//   included in "objective").  A map answered from the solution cache
-//   A "portfolio" map reports "winner" (the name of the lane whose
-//   proof is returned; absent when no lane proved), "lanes" (how many
-//   raced), and "lanes_cancelled" (losers stopped by the winner).  A
-//   map answered from the solution cache
-//   carries "cached":true (absent otherwise): the mapping replays a
-//   previously PROVED solve of a fingerprint-identical request,
-//   re-verified against this request's design and board, so "objective"
-//   and "placements" are exactly what a fresh solve would return while
-//   "nodes"/"seconds" report the (near-zero) replay work.  Requests opt
-//   out with options.no_cache — solve cold, insert nothing.
+//   included in "objective"); so does a "portfolio" map whose answer
+//   came from a sharded lane on a multi-device board.  A "portfolio" map
+//   reports "winner" (the name of the lane whose proof is returned;
+//   absent when no lane proved), "lanes" (how many raced), and
+//   "lanes_cancelled" (losers stopped by the winner).  A map answered
+//   from the solution cache carries "cached":true (absent otherwise):
+//   the mapping replays a previously PROVED solve of a
+//   fingerprint-identical request, re-verified against this request's
+//   design and board, so "objective" and "placements" are exactly what a
+//   fresh solve would return while "nodes"/"seconds" report the
+//   (near-zero) replay work.  Requests opt out with options.no_cache —
+//   solve cold, insert nothing.
+//
+//   Every answer is certified first (mapping::certify_mapping: a legal
+//   mapping whose "objective" is the cost recompute plus "stitch_cost").
+//   A failed replay is evicted and solved cold (cache.verify_fails); a
+//   failed fresh answer is a retryable "error" with no placements, never
+//   cached (solver.certify_fails).
 //
 //   {"id":"s1","method":"stats","status":"ok","accepted":3,"rejected":0,
 //    "completed":3,"cancelled":0,"timed_out":1,"stalled":0,
 //    "shed_overload":0,"unknown_field_requests":0,
 //    "solver":{"solves":3,"nodes":120,"lp_iterations":987,
-//              "sharded_requests":1,"shard_solves":4,
+//              "sharded_requests":1,"shard_solves":4,"certify_fails":0,
 //              "bases_stored":64,"bases_loaded":60,"bases_evicted":0,
 //              "cold_pops":4,"warm_pop_pivots":95,"cold_pop_pivots":310,
 //              "basis_hit_rate":0.9375},
@@ -105,6 +112,7 @@
 #include <vector>
 
 #include "lp/basis.hpp"
+#include "mapping/solve.hpp"
 #include "service/json.hpp"
 #include "service/solver_knobs.hpp"
 
@@ -152,6 +160,7 @@ struct ServiceStats {
   // the per-device candidate pipelines they fanned out in total.
   std::int64_t sharded_requests = 0;
   std::int64_t shard_solves = 0;
+  std::int64_t certify_fails = 0;  // fresh answers failing certification
   lp::BasisCacheStats basis;       // warm-start cache counters
 
   /// Solution-cache counters (the `cache` wire object).  Every ACCEPTED
@@ -211,9 +220,7 @@ struct MapRequest {
   std::string board_text;   // inline board description; overrides the name
   std::string design_text;  // inline design description
   std::string design_path;  // or a file path the server reads
-  bool complete = false;    // solve the flat "complete" formulation
-  bool sharded = false;     // multi-device partition/fan-out/stitch mapper
-  bool portfolio = false;   // race options.lanes configurations, first prover wins
+  mapping::Formulation formulation = mapping::Formulation::kGlobal;
   SolverKnobs knobs;        // per-request solver controls ("options")
   double deadline_ms = -1.0;  // < 0 = no deadline
 };

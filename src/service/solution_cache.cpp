@@ -5,6 +5,10 @@
 #include <cstring>
 #include <numeric>
 
+#include "mapping/validate.hpp"
+#include "support/fault.hpp"
+#include "support/log.hpp"
+
 namespace gmm::service {
 
 namespace {
@@ -196,6 +200,85 @@ Fingerprint assemble(const std::vector<std::uint64_t>& wl,
   return fp;
 }
 
+/// Inverse of a rank permutation: the index holding each rank.
+std::vector<std::size_t> by_rank(const std::vector<std::size_t>& rank) {
+  std::vector<std::size_t> index(rank.size());
+  for (std::size_t i = 0; i < rank.size(); ++i) index[rank[i]] = i;
+  return index;
+}
+
+/// `fragments` with ds and type renumbered through `ds_map` and
+/// `type_map` into `out`; false when one is out of range.
+bool renumber(const std::vector<mapping::PlacedFragment>& fragments,
+              const std::vector<std::size_t>& ds_map,
+              const std::vector<std::size_t>& type_map,
+              std::vector<mapping::PlacedFragment>& out) {
+  out.reserve(fragments.size());
+  for (const mapping::PlacedFragment& f : fragments) {
+    if (f.ds >= ds_map.size() || f.type >= type_map.size()) return false;
+    out.push_back(f);
+    out.back().ds = ds_map[f.ds];
+    out.back().type = type_map[f.type];
+  }
+  return true;
+}
+
+/// Bank type per structure from `entry`, in the request's index space;
+/// empty when the entry does not fit this design and board.
+std::vector<int> type_of_from(const CacheEntry& entry,
+                              const RequestFingerprint& key,
+                              const design::Design& design,
+                              const arch::Board& board) {
+  if (entry.num_structures != design.size() ||
+      entry.num_types != board.num_types() ||
+      entry.type_of_by_rank.size() != design.size()) {
+    return {};
+  }
+  const std::vector<std::size_t> type_by_rank = by_rank(key.type_rank);
+  std::vector<int> type_of(design.size(), -1);
+  for (std::size_t d = 0; d < type_of.size(); ++d) {
+    const int tr = entry.type_of_by_rank[key.structure_rank[d]];
+    if (tr < 0 || tr >= static_cast<int>(board.num_types())) return {};
+    type_of[d] = static_cast<int>(type_by_rank[static_cast<std::size_t>(tr)]);
+  }
+  return type_of;
+}
+
+/// Replay an exact hit through `key`'s canonical permutations and certify
+/// it against THIS request's design and board: a poisoned entry degrades
+/// to a verify-fail miss, never a wrong answer.
+bool replay(const CacheEntry& entry, const RequestFingerprint& key,
+            const design::Design& design, const arch::Board& board,
+            CacheLookup& out) {
+  mapping::GlobalAssignment assignment;
+  assignment.type_of = type_of_from(entry, key, design, board);
+  if (assignment.type_of.empty()) return false;
+  assignment.objective = entry.objective;
+  mapping::DetailedMapping mapped;
+  mapped.success =
+      renumber(entry.fragments_by_rank, by_rank(key.structure_rank),
+               by_rank(key.type_rank), mapped.fragments);
+  if (!mapped.success) return false;
+  const mapping::Certificate certificate =
+      mapping::certify_mapping(design, board, assignment, mapped);
+  // Injected entry corruption: the replay certified fine, but we pretend
+  // it did not — driving the exact poison/cold-solve/alert path a
+  // genuinely corrupted entry would take.
+  if (!certificate.ok() || GMM_FAULT("cache.verify", "corrupt")) return false;
+  out.hit = true;
+  out.replay = std::move(mapped);
+  out.objective = certificate.objective;
+  out.retries = entry.retries;
+  out.solve_status = entry.solve_status;
+  return true;
+}
+
+std::size_t key_slot(mapping::Formulation formulation) {
+  return static_cast<std::size_t>(formulation == mapping::Formulation::kComplete
+                                      ? CachedFormulation::kComplete
+                                      : CachedFormulation::kGlobal);
+}
+
 }  // namespace
 
 RequestFingerprint fingerprint_request(const design::Design& design,
@@ -269,13 +352,101 @@ RequestFingerprint fingerprint_request(const design::Design& design,
   return out;
 }
 
-bool CacheEntry::same_conflicts(const RequestFingerprint& request) const {
-  return conflicts_by_rank == request.conflicts_by_rank;
+CacheLookup SolutionCache::lookup(const design::Design& design,
+                                  const arch::Board& board,
+                                  mapping::Formulation formulation,
+                                  double rel_gap,
+                                  const std::string& request_id) {
+  CacheLookup out;
+  const std::size_t own = key_slot(formulation);
+  out.keys[own] = fingerprint_request(
+      design, board, static_cast<CachedFormulation>(own), rel_gap);
+  // A portfolio's winner is filed under the winner's formulation, so a
+  // prior global OR complete proof satisfies the same gap contract.
+  if (formulation == mapping::Formulation::kPortfolio) {
+    out.keys[key_slot(mapping::Formulation::kComplete)] = fingerprint_request(
+        design, board, CachedFormulation::kComplete, rel_gap);
+  }
+  for (const std::optional<RequestFingerprint>& key : out.keys) {
+    if (!key.has_value()) continue;
+    const std::optional<CacheEntry> hit = find(key->full);
+    // A colliding fingerprint whose conflict relation or parameters over
+    // canonical ranks differ is another problem: a plain miss.  With both
+    // checks a collision can only cost a hit, never serve another answer.
+    if (!hit.has_value() || hit->conflicts_by_rank != key->conflicts_by_rank ||
+        hit->param_hash_by_rank != key->param_hash_by_rank) {
+      continue;
+    }
+    if (replay(*hit, *key, design, board, out)) return out;
+    // Poison the key (left in place it would fail on every resubmission)
+    // and alert once per fingerprint, not once per replay.
+    erase(key->full);
+    out.verify_failed = true;
+    const std::scoped_lock lock(mutex_);
+    if (logged_poisoned_.insert(key->full).second) {
+      GMM_LOG(kWarn) << "cache: poisoned entry evicted, fingerprint "
+                     << key->full.hi << ":" << key->full.lo
+                     << " failed replay verification (request '"
+                     << request_id << "'); answering with a cold solve";
+    }
+  }
+  // Near-miss warm re-solves stay a plain-global feature: a portfolio
+  // request races cold (its lanes' value is finding the fast prover).
+  if (formulation != mapping::Formulation::kGlobal) return out;
+  const RequestFingerprint& key = *out.keys[own];
+  const std::optional<CacheEntry> prior = find_structural(key.structural);
+  // Pins and the MIP start only carry over within one conflict relation;
+  // a colliding structural key is a plain miss too.
+  if (!prior.has_value() || prior->conflicts_by_rank != key.conflicts_by_rank) {
+    return out;
+  }
+  out.prior_type_of = type_of_from(*prior, key, design, board);
+  for (std::size_t d = 0; d < out.prior_type_of.size(); ++d) {
+    const std::size_t r = key.structure_rank[d];
+    if (key.param_hash_by_rank[r] == prior->param_hash_by_rank[r]) {
+      out.pinned_structures.push_back(d);
+    }
+  }
+  return out;
 }
 
-bool CacheEntry::same_problem(const RequestFingerprint& request) const {
-  return same_conflicts(request) &&
-         param_hash_by_rank == request.param_hash_by_rank;
+void SolutionCache::insert_solved(const CacheLookup& lookup,
+                                  const design::Design& design,
+                                  const arch::Board& board,
+                                  const mapping::SolveOutcome& outcome) {
+  // Near-miss answers stay out: their proof is for the pinned model.
+  if (!lookup.prior_type_of.empty() ||
+      outcome.formulation == mapping::Formulation::kSharded ||
+      outcome.status != lp::SolveStatus::kOptimal ||
+      outcome.mip.stop_reason != lp::SolveStatus::kOptimal ||
+      !outcome.has_mapping()) {
+    return;
+  }
+  const std::optional<RequestFingerprint>& key =
+      lookup.keys[key_slot(outcome.formulation)];
+  if (!key.has_value()) return;
+  CacheEntry entry;
+  entry.key = key->full;
+  entry.structural = key->structural;
+  entry.num_structures = design.size();
+  entry.num_types = board.num_types();
+  entry.type_of_by_rank.assign(design.size(), -1);
+  for (std::size_t d = 0; d < design.size(); ++d) {
+    const int t = outcome.assignment.type_of[d];
+    if (t < 0 || t >= static_cast<int>(board.num_types())) return;
+    entry.type_of_by_rank[key->structure_rank[d]] =
+        static_cast<int>(key->type_rank[static_cast<std::size_t>(t)]);
+  }
+  if (!renumber(outcome.detailed.fragments, key->structure_rank,
+                key->type_rank, entry.fragments_by_rank)) {
+    return;
+  }
+  entry.param_hash_by_rank = key->param_hash_by_rank;
+  entry.conflicts_by_rank = key->conflicts_by_rank;
+  entry.objective = outcome.assignment.objective;
+  entry.retries = outcome.retries;
+  entry.solve_status = lp::to_string(outcome.status);
+  insert(std::move(entry));
 }
 
 std::optional<CacheEntry> SolutionCache::find(const Fingerprint& key) {

@@ -19,40 +19,43 @@
 //     refinement cannot tell some non-isomorphic conflict graphs apart,
 //     so a hit also requires the entry's conflict relation and
 //     per-structure parameters over canonical ranks to equal the
-//     request's (CacheEntry::same_problem), and a collision is a plain
-//     miss.  A hit replays the cached mapping through the canonical
-//     permutations back into the request's own index space — and is then
-//     RE-VERIFIED (validate_mapping + a cost recompute against the cached
-//     objective) before being served, so a corrupted entry degrades to a
-//     miss, never a wrong answer.
+//     request's, and a collision is a plain miss.  A hit replays the
+//     cached mapping through the canonical permutations back into the
+//     request's own index space — and is then RE-VERIFIED
+//     (mapping::certify_mapping against the cached objective) before
+//     being served, so a corrupted entry degrades to a miss, never a
+//     wrong answer.
 //
 //   * NEAR MISS — a second, traffic-excluded STRUCTURAL fingerprint
 //     indexes entries by shape alone.  A request that matches an entry
 //     structurally (and in its conflict relation over canonical ranks)
-//     but not exactly changed only access counts; the service then runs
-//     mapping::remap seeded with the cached assignment (MIP start) and
-//     pins the structures whose full parameter hashes still match,
-//     instead of solving cold.  Placement feasibility never depends on
-//     traffic, so the warm start is always valid.
+//     but not exactly changed only access counts; the lookup then hands
+//     back the cached assignment as a prior (MIP start) plus the
+//     structures whose full parameter hashes still match (pins) for
+//     mapping::remap, instead of a cold solve.  Placement feasibility
+//     never depends on traffic, so the warm start is always valid.
 //
 // Only PROVED results are inserted (solve status kOptimal with B&B stop
 // reason kOptimal): node/time budgets then never need to be part of the
 // key, and a replayed answer is exactly what a fresh solve would return.
 // Entries live in an LRU list under an internal mutex; capacity 0
-// disables the cache entirely.
+// disables the cache entirely.  Only this module knows canonical ranks.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "arch/board.hpp"
 #include "design/design.hpp"
+#include "mapping/solve.hpp"
 #include "mapping/types.hpp"
 
 namespace gmm::service {
@@ -95,7 +98,8 @@ struct RequestFingerprint {
 
 /// Formulation tag folded into both fingerprints.  Sharded solves are
 /// never cached (their objective includes a stitch term the replay
-/// verifier cannot recompute), so only the first two appear in practice.
+/// verifier cannot recompute), and a portfolio's answer is filed under
+/// its winning lane's formulation.
 enum class CachedFormulation : int {
   kGlobal = 0,
   kComplete = 1,
@@ -129,14 +133,22 @@ struct CacheEntry {
   double objective = 0.0;
   int retries = 0;
   std::string solve_status;  // wire "solve_status" of the original solve
-  /// Same conflict relation over canonical ranks as `request` — what a
-  /// near-miss prior needs on top of its structural fingerprint.
-  [[nodiscard]] bool same_conflicts(const RequestFingerprint& request) const;
-  /// Same conflict relation and same per-rank parameters — what an exact
-  /// hit needs on top of its full fingerprint.  With both checks a
-  /// fingerprint collision can only cost a hit, never replay another
-  /// problem's answer.
-  [[nodiscard]] bool same_problem(const RequestFingerprint& request) const;
+};
+
+/// What one map request found in the cache, in its own index space.
+struct CacheLookup {
+  /// An exact hit, replayed and certified: the answer, no solve needed.
+  bool hit = false;
+  mapping::DetailedMapping replay;
+  double objective = 0.0;  // the certificate's recompute
+  int retries = 0;
+  std::string solve_status;
+  bool verify_failed = false;  // a probed entry failed and was evicted
+  /// Near-miss prior and pins (mapping::SolveSpec); empty = none.
+  std::vector<int> prior_type_of;
+  std::vector<std::size_t> pinned_structures;
+  /// The request's fingerprints by CachedFormulation.
+  std::array<std::optional<RequestFingerprint>, 2> keys;
 };
 
 /// Thread-safe LRU store.  Lookups copy the entry out (a reference could
@@ -147,6 +159,23 @@ class SolutionCache {
   explicit SolutionCache(std::size_t capacity) : capacity_(capacity) {}
 
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
+
+  /// Fingerprint a request and probe its formulation's key (a portfolio
+  /// probes the global and complete keys).  A hit is replayed and
+  /// certified; one that fails is evicted and logged once per fingerprint
+  /// (labelled with `request_id`).  A global miss gets a near-miss prior.
+  [[nodiscard]] CacheLookup lookup(const design::Design& design,
+                                   const arch::Board& board,
+                                   mapping::Formulation formulation,
+                                   double rel_gap,
+                                   const std::string& request_id);
+
+  /// File a fresh answer under `lookup`'s key for the formulation that
+  /// produced it: only a PROVED (status and stop reason kOptimal),
+  /// unsharded, cold (no near-miss prior) answer is kept.
+  void insert_solved(const CacheLookup& lookup, const design::Design& design,
+                     const arch::Board& board,
+                     const mapping::SolveOutcome& outcome);
 
   /// Exact lookup; refreshes LRU recency on hit.
   [[nodiscard]] std::optional<CacheEntry> find(const Fingerprint& key);
@@ -182,6 +211,9 @@ class SolutionCache {
   std::map<Fingerprint, Fingerprint> structural_index_;
   std::int64_t insertions_ = 0;
   std::int64_t evictions_ = 0;
+  /// Poisoned fingerprints already logged (guarded by mutex_): one bad
+  /// entry must not become a log storm.
+  std::set<Fingerprint> logged_poisoned_;
 };
 
 }  // namespace gmm::service

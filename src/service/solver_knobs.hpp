@@ -20,6 +20,7 @@
 #include <string>
 
 #include "ilp/mip_solver.hpp"
+#include "mapping/solve.hpp"
 #include "service/json.hpp"
 
 namespace gmm::service {
@@ -57,7 +58,7 @@ struct SolverKnobs {
   /// Portfolio lane count for the "portfolio" formulation, in
   /// [1, kMaxLanes].  Rejected (not clamped) out of range; ignored by
   /// the other formulations.  A service-layer knob — apply_solver_knobs
-  /// ignores it.  Unset (< 0) means the service default (3 lanes).
+  /// ignores it.  Unset (< 0) means mapping::kDefaultPortfolioLanes.
   int lanes = -1;
 
   /// Accepted ranges (rejecting, not clamping, beyond them).
@@ -66,7 +67,7 @@ struct SolverKnobs {
   static constexpr double kMaxTimeLimitMs = 3'600'000.0;  // one hour
   static constexpr int kMaxThreads = 1024;
   static constexpr std::int64_t kMaxStoredBases = 1'048'576;
-  static constexpr int kMaxLanes = 6;
+  static constexpr int kMaxLanes = mapping::kMaxPortfolioLanes;
 };
 
 /// Parse the knobs a map request carries: the nested "options" object

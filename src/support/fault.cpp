@@ -25,6 +25,7 @@ constexpr KnownSite kKnownSites[] = {
     {"service.json", {"fail", nullptr}},
     {"service.admission", {"reject", nullptr}},
     {"cache.verify", {"corrupt", nullptr}},
+    {"mapping.certify", {"corrupt", nullptr}},
     {"socket.accept", {"fail", nullptr}},
     {"socket.read", {"short", "eintr", "econnreset", nullptr}},
     {"socket.write", {"partial", "eintr", "econnreset", nullptr}},

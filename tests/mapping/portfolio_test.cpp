@@ -46,7 +46,7 @@ TEST(Portfolio, OneLaneBitwiseIdenticalToPlainPipeline) {
     support::ThreadPool pool(workers);
     PortfolioOptions race;
     race.lanes.push_back(
-        {.name = "global", .kind = LaneKind::kGlobal, .pipeline = options});
+        {.name = "global", .kind = Formulation::kGlobal, .pipeline = options});
     const PortfolioResult r =
         solve_portfolio(pool, instance.design, instance.board, race);
 

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "arch/arch_io.hpp"
 #include "arch/device_catalog.hpp"
 #include "design/design_io.hpp"
+#include "support/fault.hpp"
 #include "workload/workload_gen.hpp"
 
 namespace gmm::service {
@@ -98,7 +101,7 @@ Request map_request(const std::string& id, std::string design_text,
 /// A request that will keep its worker busy for seconds unless stopped.
 Request slow_request(const std::string& id, double deadline_ms = -1.0) {
   Request r = map_request(id, slow_design_text(), deadline_ms);
-  r.map.complete = true;
+  r.map.formulation = mapping::Formulation::kComplete;
   return r;
 }
 
@@ -355,12 +358,12 @@ TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   MappingService service({test_board()}, {.workers = 1}, out.sink());
 
   Request sharded = map_request("sh", quick_design_text());
-  sharded.map.sharded = true;
+  sharded.map.formulation = mapping::Formulation::kSharded;
   sharded.map.board_text = arch::board_to_string(dual);
   service.handle(sharded);
 
   Request degenerate = map_request("deg", quick_design_text());
-  degenerate.map.sharded = true;
+  degenerate.map.formulation = mapping::Formulation::kSharded;
   service.handle(degenerate);
   service.drain();
 
@@ -391,7 +394,7 @@ TEST(MappingService, PortfolioFormulationRacesAndReportsWinner) {
   Collector out;
   MappingService service({test_board()}, {.workers = 1}, out.sink());
   Request race = map_request("race", quick_design_text());
-  race.map.portfolio = true;
+  race.map.formulation = mapping::Formulation::kPortfolio;
   service.handle(race);
   service.drain();
 
@@ -420,7 +423,7 @@ TEST(MappingService, PortfolioLanesKnobSetsTheLaneCount) {
   Collector out;
   MappingService service({test_board()}, {.workers = 1}, out.sink());
   Request race = map_request("two", quick_design_text());
-  race.map.portfolio = true;
+  race.map.formulation = mapping::Formulation::kPortfolio;
   race.map.knobs.lanes = 2;
   service.handle(race);
   service.drain();
@@ -438,10 +441,10 @@ TEST(MappingService, PortfolioRepeatHitsTheCacheUnderTheWinnerKey) {
   Collector out;
   MappingService service({test_board()}, {.workers = 1}, out.sink());
   Request cold = map_request("cold", quick_design_text());
-  cold.map.portfolio = true;
+  cold.map.formulation = mapping::Formulation::kPortfolio;
   service.handle(cold);
   Request warm = map_request("warm", quick_design_text());
-  warm.map.portfolio = true;
+  warm.map.formulation = mapping::Formulation::kPortfolio;
   service.handle(warm);
   service.drain();
 
@@ -462,6 +465,81 @@ TEST(MappingService, PortfolioRepeatHitsTheCacheUnderTheWinnerKey) {
   EXPECT_EQ(stats.cache.insertions, 1);
   EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
             stats.accepted);
+}
+
+/// A file of the sample data, as text.
+std::string example_text(const std::string& name) {
+  std::ifstream in(std::string(GMM_EXAMPLE_DATA_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(MappingService, PortfolioOnADualFpgaBoardReportsTheStitchCost) {
+  // A portfolio on a multi-device board races sharded lanes; its answer
+  // must carry the stitch term inside its objective, exactly as the
+  // sharded formulation reports it.
+  Collector out;
+  MappingService service({test_board()}, {.workers = 1}, out.sink());
+  const std::string board = example_text("board_dual_fpga.txt");
+  const std::string design = example_text("design_fft.txt");
+  Request sharded = map_request("sharded", design);
+  sharded.map.board_text = board;
+  sharded.map.formulation = mapping::Formulation::kSharded;
+  service.handle(sharded);
+  Request race = map_request("race", design);
+  race.map.board_text = board;
+  race.map.formulation = mapping::Formulation::kPortfolio;
+  race.map.knobs.lanes = 1;
+  service.handle(race);
+  service.drain();
+
+  const Response a = out.only("sharded");
+  const Response b = out.only("race");
+  ASSERT_EQ(a.status, ResponseStatus::kOk) << a.error;
+  ASSERT_EQ(b.status, ResponseStatus::kOk) << b.error;
+  EXPECT_GT(a.stitch_cost, 0.0);
+  EXPECT_DOUBLE_EQ(b.objective, a.objective);
+  EXPECT_DOUBLE_EQ(b.stitch_cost, a.stitch_cost);
+  EXPECT_EQ(b.shards, a.shards);
+}
+
+class MappingServiceFault : public ::testing::Test {
+ protected:
+  void TearDown() override { support::global_faults().disarm(); }
+};
+
+TEST_F(MappingServiceFault, FailedCertificationIsARetryableErrorNeverCached) {
+  std::string error;
+  ASSERT_TRUE(support::global_faults().arm(
+      "seed=1,mapping.certify:corrupt@once", error))
+      << error;
+  Collector out;
+  MappingService service({test_board()}, {.workers = 1}, out.sink());
+  service.handle(map_request("bad", quick_design_text()));
+  service.drain();
+  service.handle(map_request("good", quick_design_text()));
+  service.drain();
+
+  const Response bad = out.only("bad");
+  EXPECT_EQ(bad.status, ResponseStatus::kError);
+  EXPECT_TRUE(bad.retryable);
+  EXPECT_FALSE(bad.has_result);
+  EXPECT_TRUE(bad.placements.empty());
+  EXPECT_NE(bad.error.find("certification"), std::string::npos) << bad.error;
+
+  // Nothing was cached, so the resubmission solves (and certifies) anew.
+  const Response good = out.only("good");
+  ASSERT_EQ(good.status, ResponseStatus::kOk) << good.error;
+  EXPECT_FALSE(good.cached);
+  EXPECT_FALSE(good.placements.empty());
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.certify_fails, 1);
+  EXPECT_EQ(stats.cache.hits, 0);
+  EXPECT_EQ(stats.cache.misses, 2);
+  EXPECT_EQ(stats.cache.insertions, 1);
 }
 
 TEST(MappingService, PingAndInvalidRespondSynchronously) {

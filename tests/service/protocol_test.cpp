@@ -179,13 +179,13 @@ TEST(Protocol, ParsesShardedFormulation) {
   const Request r = parse_request_line(
       R"({"id":"r1","method":"map","design_text":"d","formulation":"sharded"})");
   ASSERT_EQ(r.method, Method::kMap);
-  EXPECT_TRUE(r.map.sharded);
-  EXPECT_FALSE(r.map.complete);
+  EXPECT_EQ(r.map.formulation, mapping::Formulation::kSharded);
+  EXPECT_NE(r.map.formulation, mapping::Formulation::kComplete);
 
   const Request global = parse_request_line(
       R"({"id":"r2","method":"map","design_text":"d"})");
   ASSERT_EQ(global.method, Method::kMap);
-  EXPECT_FALSE(global.map.sharded);
+  EXPECT_NE(global.map.formulation, mapping::Formulation::kSharded);
 
   const Request bad = parse_request_line(
       R"({"id":"r3","method":"map","design_text":"d","formulation":"mystery"})");
@@ -198,9 +198,9 @@ TEST(Protocol, ParsesPortfolioFormulation) {
       R"({"id":"p1","method":"map","design_text":"d",)"
       R"("formulation":"portfolio","options":{"lanes":2}})");
   ASSERT_EQ(r.method, Method::kMap);
-  EXPECT_TRUE(r.map.portfolio);
-  EXPECT_FALSE(r.map.sharded);
-  EXPECT_FALSE(r.map.complete);
+  EXPECT_EQ(r.map.formulation, mapping::Formulation::kPortfolio);
+  EXPECT_NE(r.map.formulation, mapping::Formulation::kSharded);
+  EXPECT_NE(r.map.formulation, mapping::Formulation::kComplete);
   EXPECT_EQ(r.map.knobs.lanes, 2);
 
   // The unknown-formulation error names every accepted value.

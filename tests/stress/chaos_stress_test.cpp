@@ -2,9 +2,10 @@
 // spawn one real `mapper_serve --listen` with the fault injector armed
 // across EVERY instrumented site — LU refactorization sabotage, basis
 // corruption, injected solve stalls, allocation failures, json parse
-// failures, admission rejects, cache corruption, and the full socket
-// fault family (accept failures, short/EINTR/ECONNRESET reads and
-// writes) — then hammer it with client storms.  Under that weather the
+// failures, admission rejects, cache corruption, failed answer
+// certifications, and the full socket fault family (accept failures,
+// short/EINTR/ECONNRESET reads and writes) — then hammer it with client
+// storms.  Under that weather the
 // server must still honor the hard contracts:
 //
 //   * every map id answered on a surviving connection is answered
@@ -80,6 +81,7 @@ std::string chaos_fault_spec(std::uint64_t seed) {
          ",service.json:fail@0.02"
          ",service.admission:reject@0.03"
          ",cache.verify:corrupt@0.05"
+         ",mapping.certify:corrupt@0.05"
          ",socket.accept:fail@0.05"
          ",socket.read:short@0.02"
          ",socket.read:eintr@0.02"
