@@ -52,6 +52,10 @@ struct BasisSlot {
   std::shared_ptr<const lp::Basis> basis;
 };
 
+/// Relaxation fixings in reduced space, published once under heap_mutex_
+/// and shared read-only by every worker that pops a node afterwards.
+using Fixings = std::vector<BoundChange>;
+
 struct OpenNode {
   double bound = -kInf;  // parent LP objective: a valid lower bound
   std::uint64_t seq = 0;  // FIFO tie-break keeps the search deterministic
@@ -135,11 +139,14 @@ class Search {
     }
 
    private:
-    /// Re-derive `node`'s bounds from its parent chain, then either
-    /// restore `warm` (the node's own parent basis, already dual feasible
-    /// for the changed bounds) or just refresh on the engine's current
-    /// basis (cold: an unrelated subtree's basis or the initial one).
-    void apply_path(const NodeData* node, const lp::Basis* warm);
+    /// Re-derive `node`'s bounds from its parent chain, intersect them
+    /// with the relaxation fixings, then either restore `warm` (the
+    /// node's own parent basis, already dual feasible for the changed
+    /// bounds) or just refresh on the engine's current basis (cold: an
+    /// unrelated subtree's basis or the initial one).  False when the
+    /// fixings leave the node's box empty (nothing to solve).
+    bool apply_path(const NodeData* node, const lp::Basis* warm,
+                    const Fixings* fixings);
     [[nodiscard]] Index pick_branch_var(const std::vector<double>& x) const;
     void run_rounding_heuristic(const std::vector<double>& reduced_x);
     void run_user_heuristic(const std::vector<double>& reduced_x);
@@ -166,6 +173,23 @@ class Search {
 
   // -- cross-worker helpers --------------------------------------------
   [[nodiscard]] double prune_threshold() const;
+  /// A subtree whose LP bound is `bound` cannot beat the incumbent by
+  /// more than the gap (the relaxation bound floors every subtree).
+  [[nodiscard]] bool prunable(double bound) const {
+    return std::max(bound, relaxation_bound_.load(std::memory_order_relaxed)) >=
+           prune_threshold();
+  }
+  /// The relaxation is installed, has not run, and the search is still
+  /// open after kRelaxationAfterNodes nodes.  Caller holds heap_mutex_.
+  [[nodiscard]] bool relaxation_due_locked() const {
+    return options_.relaxation_bound && !relaxation_claimed_ &&
+           !open_.empty() &&
+           nodes_.load(std::memory_order_relaxed) >= kRelaxationAfterNodes;
+  }
+  /// Call the relaxation (without holding heap_mutex_): publish its bound,
+  /// and return its fixings mapped to reduced space, skipping those that
+  /// presolve or the root already decided.
+  std::shared_ptr<const Fixings> run_relaxation();
   /// Wall-clock budget left before the nearer of the option time limit and
   /// the cancel token's deadline (kInf when neither is armed); clamps the
   /// per-LP time limits so a deadline interrupts even one long LP.
@@ -214,6 +238,14 @@ class Search {
   lp::BasisCacheStats basis_stats_;  // stored/evicted side (workers add
                                      // their loaded/cold/pivot shares)
 
+  // Relaxation state: the root duals it starts from (ORIGINAL rows,
+  // immutable after the cut loop), whether a worker claimed the one call
+  // and its fixings (both guarded by heap_mutex_), and its bound.
+  std::vector<double> root_row_duals_;
+  bool relaxation_claimed_ = false;
+  std::shared_ptr<const Fixings> fixings_;
+  std::atomic<double> relaxation_bound_{-kInf};
+
   // Incumbent, in ORIGINAL variable space with TOTAL objective.  The
   // atomic snapshot lets pruning read the objective without the mutex.
   std::mutex incumbent_mutex_;
@@ -232,11 +264,9 @@ class Search {
 };
 
 double Search::prune_threshold() const {
-  const double incumbent =
-      incumbent_snapshot_.load(std::memory_order_relaxed);
-  const double slack = std::max(options_.abs_gap,
-                                options_.rel_gap * std::abs(incumbent));
-  return incumbent - slack;
+  return ilp::prune_threshold(
+      incumbent_snapshot_.load(std::memory_order_relaxed), options_.rel_gap,
+      options_.abs_gap);
 }
 
 double Search::remaining_seconds() const {
@@ -368,7 +398,45 @@ void Search::release_basis_locked(const std::shared_ptr<BasisSlot>& slot) {
   }
 }
 
-void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
+std::shared_ptr<const Fixings> Search::run_relaxation() {
+  RelaxationQuery query;
+  const Index n = original_.num_vars();
+  query.lb.resize(static_cast<std::size_t>(n));
+  query.ub.resize(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    const Index r = pre_.var_map[j];
+    query.lb[j] = r == lp::kInvalidIndex ? pre_.fixed_value[j]
+                                         : working_.var_lb(r);
+    query.ub[j] = r == lp::kInvalidIndex ? pre_.fixed_value[j]
+                                         : working_.var_ub(r);
+  }
+  query.row_duals = root_row_duals_;
+  query.incumbent = incumbent_snapshot_.load(std::memory_order_relaxed);
+  query.rel_gap = options_.rel_gap;
+  query.abs_gap = options_.abs_gap;
+  query.offer_incumbent = [this](const std::vector<double>& x) {
+    offer_incumbent(x);
+    return incumbent_snapshot_.load(std::memory_order_relaxed);
+  };
+  const RelaxationResult relaxed = options_.relaxation_bound(query);
+  relaxation_bound_.store(relaxed.bound, std::memory_order_relaxed);
+  auto fixings = std::make_shared<Fixings>();
+  for (const auto& [j, value] : relaxed.fixings) {
+    if (j < 0 || j >= n) continue;
+    const Index r = pre_.var_map[j];
+    if (r == lp::kInvalidIndex || working_.var_lb(r) == working_.var_ub(r)) {
+      continue;  // presolve or the root already decided it
+    }
+    fixings->push_back({r, value, value});
+  }
+  // Only this worker writes the counter; run() reads it after the join.
+  result_.rc_fixed += static_cast<std::int64_t>(fixings->size());
+  if (fixings->empty()) return nullptr;
+  return fixings;
+}
+
+bool Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm,
+                                const Fixings* fixings) {
   engine_.reset_bounds();
   // Collect root->leaf order; later changes on the same variable must win.
   std::vector<const NodeData*> chain;
@@ -381,6 +449,14 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
       engine_.set_column_bounds(c.var, c.lb, c.ub);
     }
   }
+  if (fixings != nullptr) {
+    for (const BoundChange& f : *fixings) {
+      const double lb = std::max(engine_.column_lb(f.var), f.lb);
+      const double ub = std::min(engine_.column_ub(f.var), f.ub);
+      if (lb > ub) return false;
+      engine_.set_column_bounds(f.var, lb, ub);
+    }
+  }
   if (warm != nullptr) {
     // The node's own parent basis: dual feasible under the re-derived
     // bounds (they differ from the snapshot's by one branching change,
@@ -391,6 +467,7 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
   } else {
     engine_.refresh_basic_solution();
   }
+  return true;
 }
 
 Index Search::Worker::pick_branch_var(const std::vector<double>& x) const {
@@ -537,7 +614,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
       pending_var = lp::kInvalidIndex;
     }
 
-    if (node_bound >= s_.prune_threshold()) return;  // bound-pruned
+    if (s_.prunable(node_bound)) return;  // bound-pruned
 
     const std::vector<double> x = engine_.structural_solution();
     const Index branch_var = pick_branch_var(x);
@@ -613,6 +690,18 @@ void Search::Worker::loop() {
              !s_.open_.empty() || s_.active_workers_ == 0;
     });
     if (s_.stop_.load(std::memory_order_relaxed)) break;
+    if (s_.relaxation_due_locked()) {
+      // Counted as active so idle workers cannot mistake the call for the
+      // end of the search.
+      s_.relaxation_claimed_ = true;
+      ++s_.active_workers_;
+      lock.unlock();
+      std::shared_ptr<const Fixings> fixings = s_.run_relaxation();
+      lock.lock();
+      s_.fixings_ = std::move(fixings);
+      --s_.active_workers_;
+      continue;
+    }
     if (s_.open_.empty()) {
       if (s_.active_workers_ == 0) {
         // Search complete.  Wake the siblings: this state can be REACHED
@@ -627,7 +716,7 @@ void Search::Worker::loop() {
     }
     OpenNode top = s_.open_.top();
     s_.open_.pop();
-    if (top.bound >= s_.prune_threshold()) {
+    if (s_.prunable(top.bound)) {
       // Pruned while queued: free its snapshot's cache slot (not an
       // eviction — the node is gone, not the basis under pressure).
       s_.release_basis_locked(top.slot);
@@ -646,12 +735,13 @@ void Search::Worker::loop() {
     last_popped_bound_ = top.bound;
     popped_any_ = true;
     ++s_.active_workers_;
+    const std::shared_ptr<const Fixings> fixings = s_.fixings_;
     lock.unlock();
 
     const bool warm_start = warm != nullptr;
-    apply_path(top.data.get(), warm.get());
+    const bool open = apply_path(top.data.get(), warm.get(), fixings.get());
     warm.reset();  // the engine holds the state now; free the snapshot
-    dive(std::move(top.data), warm_start);
+    if (open) dive(std::move(top.data), warm_start);
 
     lock.lock();
     --s_.active_workers_;
@@ -674,6 +764,8 @@ MipResult Search::run() {
     pre_.var_map.resize(original_.num_vars());
     pre_.fixed_value.assign(original_.num_vars(), 0.0);
     for (Index j = 0; j < original_.num_vars(); ++j) pre_.var_map[j] = j;
+    pre_.row_map.resize(original_.num_rows());
+    for (Index i = 0; i < original_.num_rows(); ++i) pre_.row_map[i] = i;
   }
   if (pre_.infeasible) {
     result_.status = SolveStatus::kInfeasible;
@@ -783,6 +875,18 @@ MipResult Search::run() {
       result_.lp_iterations += root_engine->stats().iterations - before;
       if (root_status != SolveStatus::kOptimal) break;
       bool model_changed = false;
+      if (options_.relaxation_bound) {
+        // Duals of the original rows, for the relaxation to start from.
+        // Cut rows are appended after them, so row_map stays valid.
+        root_row_duals_.assign(pre_.row_map.size(), 0.0);
+        for (std::size_t i = 0; i < pre_.row_map.size(); ++i) {
+          const Index r = pre_.row_map[i];
+          if (r == lp::kInvalidIndex) continue;
+          root_row_duals_[i] =
+              -root_engine->reduced_cost(sf_->num_structural + r) *
+              sf_->row_scale[r];
+        }
+      }
 
       // Reduced-cost fixing.  A nonbasic integer column at a bound with
       // reduced cost d could only move delta away from that bound before
@@ -909,6 +1013,7 @@ MipResult Search::run() {
     }
     if (!open_.empty()) bound = std::min(bound, open_.top().bound);
     if (bound == kInf) bound = -kInf;  // stopped before any node ran
+    bound = std::max(bound, relaxation_bound_.load(std::memory_order_relaxed));
     result_.best_bound =
         result_.x.empty() ? bound : std::min(bound, incumbent_obj_);
     result_.status =
@@ -927,6 +1032,14 @@ MipResult Search::run() {
 }
 
 }  // namespace
+
+double prune_threshold(double incumbent, double rel_gap, double abs_gap) {
+  // Spelled out: inf - max(abs_gap, rel_gap * inf) would be NaN, and every
+  // comparison against NaN is false, so a gate written as
+  // `bound < threshold` would never fire without an incumbent.
+  if (incumbent >= kInf) return kInf;
+  return incumbent - std::max(abs_gap, rel_gap * std::abs(incumbent));
+}
 
 double MipResult::gap() const {
   if (!has_incumbent()) return lp::kInf;

@@ -15,6 +15,12 @@
 //   * incumbents from integral LP relaxations, an optional user-supplied
 //     primal heuristic (the complete memory mapper injects its packing
 //     repair here), and the dive itself;
+//   * an optional problem-specific relaxation (MipOptions::
+//     relaxation_bound; the global memory mapper installs a Lagrangian
+//     knapsack bound), called once when the tree is still open after
+//     kRelaxationAfterNodes nodes: its bound closes the search when it
+//     reaches the prune threshold, its fixings tighten every node popped
+//     afterwards, and its candidates become incumbents;
 //   * node payloads are immutable parent-chain links shared via
 //     shared_ptr, so a node costs O(1) memory at any depth;
 //   * optional parallel search (MipOptions::num_threads): workers share
@@ -48,6 +54,48 @@ namespace gmm::ilp {
 /// mapping heuristics only read captured state, so they qualify).
 using PrimalHeuristic = std::function<std::optional<std::vector<double>>(
     const std::vector<double>& lp_x)>;
+
+/// The bound a node must stay below to be explored: the incumbent minus
+/// the optimality gap, max(abs_gap, rel_gap * |incumbent|).  +inf when
+/// there is no incumbent yet (every finite bound stays open).  Node
+/// pruning, root reduced-cost fixing and relaxation fixings all use it.
+[[nodiscard]] double prune_threshold(double incumbent, double rel_gap,
+                                     double abs_gap);
+
+/// What a RelaxationBound sees, all in ORIGINAL variable space.
+struct RelaxationQuery {
+  /// Current global bounds of every variable: the model's own, pins,
+  /// presolve reductions and root reduced-cost fixing.
+  std::vector<double> lb, ub;
+  /// Dual of every ORIGINAL row in the last root LP the cut loop solved
+  /// (0 where presolve removed the row); empty when no root LP was solved.
+  std::vector<double> row_duals;
+  /// Incumbent objective at call time (kInf when none).
+  double incumbent = lp::kInf;
+  double rel_gap = 0.0, abs_gap = 0.0;
+  /// Validate a candidate like any other incumbent and install it when it
+  /// improves; returns the incumbent objective afterwards.
+  std::function<double(const std::vector<double>&)> offer_incumbent;
+};
+
+/// A relaxation's answer.  Both parts must hold for every feasible
+/// solution within the query's bounds whose objective lies below
+/// prune_threshold(incumbent) for the incumbent the callback last saw
+/// (the incumbent only ever improves, so they stay valid afterwards).
+struct RelaxationResult {
+  /// Lower bound on those solutions' objective; +inf when none exists.
+  double bound = -lp::kInf;
+  /// (variable, value) pairs every such solution satisfies.
+  std::vector<std::pair<lp::Index, double>> fixings;
+};
+
+/// Optional problem-specific relaxation (see MipOptions::relaxation_bound).
+using RelaxationBound =
+    std::function<RelaxationResult(const RelaxationQuery&)>;
+
+/// Nodes the tree search processes before it calls the relaxation: solves
+/// that close sooner never pay for it.
+inline constexpr std::int64_t kRelaxationAfterNodes = 64;
 
 struct MipOptions {
   double time_limit_seconds = lp::kInf;
@@ -96,6 +144,15 @@ struct MipOptions {
   /// Invoke the primal heuristic at the root and every N processed nodes.
   std::int64_t heuristic_period = 256;
   PrimalHeuristic primal_heuristic;
+  /// Optional relaxation, called at most once per solve, between dives,
+  /// when kRelaxationAfterNodes nodes are done and open nodes remain (so
+  /// only where the search would otherwise keep branching).  Its bound
+  /// floors every node's LP bound, its fixings are intersected with the
+  /// bounds of every node popped afterwards (counted in
+  /// MipResult::rc_fixed) and its offered candidates are validated like
+  /// any incumbent.  Called from one worker; it must not touch state
+  /// shared with other solves.
+  RelaxationBound relaxation_bound;
   /// Branch-and-bound workers sharing one best-first node heap.  1 (the
   /// default) runs today's fully serial, deterministic search on the
   /// calling thread.  With k > 1 workers the node processing ORDER varies
@@ -155,7 +212,9 @@ struct MipResult {
   std::int64_t lp_work_units = 0;
   std::int64_t cover_cuts = 0;   // lifted cover cuts added at the root
   std::int64_t clique_cuts = 0;  // conflict-clique cuts added at the root
-  std::int64_t rc_fixed = 0;     // columns bound-tightened by reduced cost
+  /// Columns bound-tightened by root reduced-cost fixing or fixed by the
+  /// relaxation (MipOptions::relaxation_bound).
+  std::int64_t rc_fixed = 0;
   /// Basis warm-start cache counters (see MipOptions::max_stored_bases):
   /// snapshots stored/loaded/evicted plus the dual-pivot split between
   /// warm-started and cold heap pops.

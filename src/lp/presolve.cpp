@@ -166,14 +166,16 @@ PresolveResult presolve(const Model& model) {
           lb[j], ub[j], model.obj(j), model.var_type(j), model.var_name(j));
     }
   }
-  for (const WorkRow& row : rows) {
+  result.row_map.assign(m, kInvalidIndex);
+  for (Index i = 0; i < m; ++i) {
+    const WorkRow& row = rows[i];
     if (row.removed) continue;
     LinExpr expr;
     expr.reserve(row.terms.size());
     for (const Term& t : row.terms) {
       expr.add(result.var_map[t.var], t.coef);
     }
-    result.reduced.add_row(expr, row.lb, row.ub);
+    result.row_map[i] = result.reduced.add_row(expr, row.lb, row.ub);
   }
   GMM_LOG(kDebug) << "presolve: " << result.vars_fixed << " vars fixed, "
                   << result.rows_removed << " rows removed ("

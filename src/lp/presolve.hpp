@@ -25,6 +25,8 @@ struct PresolveResult {
   std::vector<Index> var_map;
   /// Value of each eliminated (fixed) variable.
   std::vector<double> fixed_value;
+  /// Original row -> reduced row, or kInvalidIndex when removed.
+  std::vector<Index> row_map;
   /// Objective contribution of the eliminated variables.
   double objective_offset = 0.0;
   /// Reduction counters for logging / the solver-ablation bench.

@@ -47,7 +47,8 @@ StandardForm StandardForm::build(const Model& model) {
   }
 
   // Row equilibration (see the header comment).
-  std::vector<double> row_scale(sf.num_rows, 1.0);
+  std::vector<double>& row_scale = sf.row_scale;
+  row_scale.assign(sf.num_rows, 1.0);
   {
     std::vector<double> row_max(sf.num_rows, 0.0);
     for (std::size_t k = 0; k < sf.value.size(); ++k) {

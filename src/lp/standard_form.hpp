@@ -40,6 +40,9 @@ struct StandardForm {
 
   // Bounds and costs for ALL columns (structural first, then m logicals).
   std::vector<double> lb, ub, cost;
+  /// Equilibration factor of each row (see above).  A row's dual in the
+  /// model's units is its computational-form dual times this factor.
+  std::vector<double> row_scale;
 
   [[nodiscard]] Index num_cols() const { return num_structural + num_rows; }
   [[nodiscard]] bool is_logical(Index j) const { return j >= num_structural; }

@@ -4,39 +4,33 @@
 
 #include "design/conflict_analysis.hpp"
 #include "mapping/greedy_mapper.hpp"
+#include "mapping/lagrangian.hpp"
 #include "support/assert.hpp"
 #include "support/log.hpp"
 #include "support/timer.hpp"
 
 namespace gmm::mapping {
 
-GlobalResult map_global(const design::Design& design,
-                        const arch::Board& board, const CostTable& table,
-                        const GlobalOptions& options) {
-  GlobalResult result;
+std::optional<GlobalModel> formulate_global(const design::Design& design,
+                                            const arch::Board& board,
+                                            const CostTable& table,
+                                            const GlobalOptions& options) {
   const std::size_t num_ds = design.size();
   const std::size_t num_types = board.num_types();
   GMM_ASSERT(table.num_structures() == num_ds &&
                  table.num_types() == num_types,
              "cost table does not match design/board");
-  if (num_ds == 0) {
-    result.status = lp::SolveStatus::kOptimal;
-    result.assignment.objective = 0.0;
-    return result;
-  }
-
-  support::WallTimer timer;
+  GlobalModel global;
+  lp::Model& model = global.model;
+  std::vector<std::vector<lp::Index>>& z = global.z;
 
   // ---- variables: Z_dt for feasible pairs only -------------------------
-  lp::Model model;
-  std::vector<std::vector<lp::Index>> z(num_ds,
-                                        std::vector<lp::Index>(num_types,
-                                                               lp::kInvalidIndex));
+  z.assign(num_ds, std::vector<lp::Index>(num_types, lp::kInvalidIndex));
   // Migration penalties (incremental re-solve): moving structure d off
   // its prior type costs extra, steering the delta re-optimization toward
   // minimal-disturbance remaps.  The penalty lives only in the model's
-  // objective; the reported assignment objective is recomputed as the
-  // pure mapping cost below so cold and warm solves stay comparable.
+  // objective; map_global recomputes the reported assignment objective as
+  // the pure mapping cost so cold and warm solves stay comparable.
   const bool migration_active =
       options.migration_penalty > 0.0 &&
       options.warm_assignment.size() == num_ds;
@@ -57,19 +51,19 @@ GlobalResult map_global(const design::Design& design,
     if (!any) {
       GMM_LOG(kInfo) << "global: structure " << design.at(d).name
                      << " fits no bank type; model infeasible";
-      result.status = lp::SolveStatus::kInfeasible;
-      return result;
+      return std::nullopt;
     }
   }
 
   // ---- uniqueness --------------------------------------------------------
+  global.uniqueness_rows.resize(num_ds);
   for (std::size_t d = 0; d < num_ds; ++d) {
     lp::LinExpr expr;
     for (std::size_t t = 0; t < num_types; ++t) {
       if (z[d][t] != lp::kInvalidIndex) expr.add(z[d][t], 1.0);
     }
-    model.add_constraint(expr, lp::Sense::kEqual, 1.0,
-                         "uniq." + std::to_string(d));
+    global.uniqueness_rows[d] = model.add_constraint(
+        expr, lp::Sense::kEqual, 1.0, "uniq." + std::to_string(d));
   }
 
   // ---- ports and capacity (conflict-clique aware) -----------------------
@@ -80,7 +74,7 @@ GlobalResult map_global(const design::Design& design,
   // Figure-3 port estimate dominates the capacity fraction
   // (CP_dt >= area_dt * P_t / bits_t), so relaxing capacity alone would
   // be vacuous — the port constraint would still forbid every overlap.
-  std::vector<std::vector<std::size_t>> cliques;
+  std::vector<std::vector<std::size_t>>& cliques = global.cliques;
   if (options.overlap_aware_capacity) {
     cliques = design::conflict_cliques(design).cliques;
   } else {
@@ -118,7 +112,7 @@ GlobalResult map_global(const design::Design& design,
   // Z_dt can be 1.  Handing those variable cliques to the MIP solver lets
   // its root loop add sum Z <= 1 rows the knapsack relaxation cannot see
   // (fractional Z's split a budget the integer solution cannot).
-  std::vector<std::vector<lp::Index>> var_cliques;
+  std::vector<std::vector<lp::Index>>& var_cliques = global.var_cliques;
   for (std::size_t t = 0; t < num_types; ++t) {
     const std::int64_t total_ports = board.type(t).total_ports();
     const std::int64_t total_bits = board.type(t).total_bits();
@@ -155,6 +149,33 @@ GlobalResult map_global(const design::Design& design,
     }
   }
 
+  return global;
+}
+
+GlobalResult map_global(const design::Design& design,
+                        const arch::Board& board, const CostTable& table,
+                        const GlobalOptions& options) {
+  GlobalResult result;
+  const std::size_t num_ds = design.size();
+  const std::size_t num_types = board.num_types();
+  if (num_ds == 0) {
+    result.status = lp::SolveStatus::kOptimal;
+    result.assignment.objective = 0.0;
+    return result;
+  }
+
+  support::WallTimer timer;
+  std::optional<GlobalModel> formulated =
+      formulate_global(design, board, table, options);
+  if (!formulated) {
+    result.status = lp::SolveStatus::kInfeasible;
+    return result;
+  }
+  const lp::Model& model = formulated->model;
+  const std::vector<std::vector<lp::Index>>& z = formulated->z;
+  const bool migration_active =
+      options.migration_penalty > 0.0 &&
+      options.warm_assignment.size() == num_ds;
   result.model_size.variables = model.num_vars();
   result.model_size.binaries = model.num_vars();
   result.model_size.rows = model.num_rows();
@@ -171,7 +192,7 @@ GlobalResult map_global(const design::Design& design,
   // near-optimal plateaus these port/capacity knapsacks produce.
   ilp::MipOptions mip_options = options.mip;
   mip_options.heuristic_period = 1;
-  for (auto& q : var_cliques) {
+  for (auto& q : formulated->var_cliques) {
     mip_options.conflict_cliques.push_back(std::move(q));
   }
   if (!mip_options.primal_heuristic) {
@@ -190,62 +211,8 @@ GlobalResult map_global(const design::Design& design,
         }
         if (assign[d] < 0) return std::nullopt;
       }
-      // Conservative per-type loads.
-      std::vector<std::int64_t> ports(num_types, 0), bits(num_types, 0);
-      for (std::size_t d = 0; d < num_ds; ++d) {
-        const PlacementPlan& plan = table.plan(d, assign[d]);
-        ports[assign[d]] += plan.cp;
-        bits[assign[d]] += plan.cw * plan.cd;
-      }
-      for (std::size_t moves = 0; moves < 4 * num_ds; ++moves) {
-        int over = -1;
-        for (std::size_t t = 0; t < num_types; ++t) {
-          if (ports[t] > board.type(t).total_ports() ||
-              bits[t] > board.type(t).total_bits()) {
-            over = static_cast<int>(t);
-            break;
-          }
-        }
-        if (over < 0) break;
-        // Cheapest migration off the over-budget type.
-        double best_delta = lp::kInf;
-        std::size_t best_d = 0;
-        int best_t = -1;
-        for (std::size_t d = 0; d < num_ds; ++d) {
-          if (assign[d] != over) continue;
-          for (std::size_t t = 0; t < num_types; ++t) {
-            if (static_cast<int>(t) == over ||
-                z[d][t] == lp::kInvalidIndex) {
-              continue;
-            }
-            const PlacementPlan& plan = table.plan(d, t);
-            if (ports[t] + plan.cp > board.type(t).total_ports() ||
-                bits[t] + plan.cw * plan.cd > board.type(t).total_bits()) {
-              continue;
-            }
-            const double delta = table.cost(d, t) - table.cost(d, over);
-            if (delta < best_delta) {
-              best_delta = delta;
-              best_d = d;
-              best_t = static_cast<int>(t);
-            }
-          }
-        }
-        if (best_t < 0) {
-          // Repair stuck: last resort is the feasibility-first
-          // construction (ignores the LP entirely but always yields an
-          // incumbent when one is this easy to build).
-          assign = headroom_assignment(design, board, table);
-          if (assign.empty()) return std::nullopt;
-          break;
-        }
-        const PlacementPlan& from = table.plan(best_d, over);
-        const PlacementPlan& to = table.plan(best_d, best_t);
-        ports[over] -= from.cp;
-        bits[over] -= from.cw * from.cd;
-        ports[best_t] += to.cp;
-        bits[best_t] += to.cw * to.cd;
-        assign[best_d] = best_t;
+      if (!repair_assignment(design, board, table, assign)) {
+        return std::nullopt;
       }
       std::vector<double> x(static_cast<std::size_t>(model.num_vars()), 0.0);
       for (std::size_t d = 0; d < num_ds; ++d) {
@@ -254,6 +221,17 @@ GlobalResult map_global(const design::Design& design,
       }
       return x;
     };
+  }
+
+  // ---- Lagrangian knapsack bound ------------------------------------------
+  // Called by the tree search once it is still open after a few dozen
+  // nodes (see lagrangian.hpp): closes the search, fixes pairs and seeds
+  // incumbents from the per-type port knapsacks.
+  const LagrangianBound lagrangian(design, board, table, model, z,
+                                   formulated->cliques,
+                                   formulated->uniqueness_rows);
+  if (!mip_options.relaxation_bound) {
+    mip_options.relaxation_bound = std::cref(lagrangian);
   }
 
   // ---- warm start + pins (incremental re-solve) ---------------------------

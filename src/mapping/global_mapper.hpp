@@ -11,7 +11,15 @@
 //     exactly (one all-structures clique when everything conflicts).
 //
 // Objective: the CostTable's weighted latency + pin-delay + pin-I/O.
+//
+// Solving: the branch and bound gets the conflict-clique variable sets
+// for its root cut loop, a greedy budget repair as primal heuristic at
+// every node, and a Lagrangian knapsack bound (lagrangian.hpp) that the
+// search calls once it is still open after a few dozen nodes: it closes
+// the search, fixes pairs and seeds incumbents.
 #pragma once
+
+#include <optional>
 
 #include "arch/board.hpp"
 #include "design/design.hpp"
@@ -57,6 +65,27 @@ struct GlobalResult {
   SolveEffort effort;
   ilp::MipResult mip;
 };
+
+/// The global ILP of one design on one board, as map_global solves it.
+struct GlobalModel {
+  lp::Model model;
+  /// Z_dt per (structure, type); kInvalidIndex for infeasible pairs.
+  std::vector<std::vector<lp::Index>> z;
+  /// The row sum_t Z_dt = 1 of each structure.
+  std::vector<lp::Index> uniqueness_rows;
+  /// Conflict cliques carrying one port and one capacity row per type.
+  std::vector<std::vector<std::size_t>> cliques;
+  /// Mutually exclusive Z sets the root cut loop may add as rows.
+  std::vector<std::vector<lp::Index>> var_cliques;
+};
+
+/// Build the model: variables, rows, migration penalties and no-good
+/// cuts from `options` (the warm start and pins are solver options, not
+/// rows).  nullopt when some structure fits no bank type.
+std::optional<GlobalModel> formulate_global(const design::Design& design,
+                                            const arch::Board& board,
+                                            const CostTable& table,
+                                            const GlobalOptions& options);
 
 /// Run global mapping.  `table` must be built from the same design/board.
 GlobalResult map_global(const design::Design& design,

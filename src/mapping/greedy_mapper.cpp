@@ -49,6 +49,70 @@ std::vector<int> headroom_assignment(const design::Design& design,
   return assignment;
 }
 
+bool repair_assignment(const design::Design& design, const arch::Board& board,
+                       const CostTable& table, std::vector<int>& assign,
+                       const std::vector<char>* allowed) {
+  const std::size_t num_ds = design.size();
+  const std::size_t num_types = board.num_types();
+  // Conservative per-type loads.
+  std::vector<std::int64_t> ports(num_types, 0), bits(num_types, 0);
+  for (std::size_t d = 0; d < num_ds; ++d) {
+    const PlacementPlan& plan = table.plan(d, assign[d]);
+    ports[assign[d]] += plan.cp;
+    bits[assign[d]] += plan.cw * plan.cd;
+  }
+  for (std::size_t moves = 0; moves < 4 * num_ds; ++moves) {
+    int over = -1;
+    for (std::size_t t = 0; t < num_types; ++t) {
+      if (ports[t] > board.type(t).total_ports() ||
+          bits[t] > board.type(t).total_bits()) {
+        over = static_cast<int>(t);
+        break;
+      }
+    }
+    if (over < 0) break;
+    // Cheapest migration off the over-budget type.
+    double best_delta = 0.0;
+    std::size_t best_d = 0;
+    int best_t = -1;
+    for (std::size_t d = 0; d < num_ds; ++d) {
+      if (assign[d] != over) continue;
+      for (std::size_t t = 0; t < num_types; ++t) {
+        if (static_cast<int>(t) == over || !table.feasible(d, t) ||
+            (allowed != nullptr && (*allowed)[d * num_types + t] == 0)) {
+          continue;
+        }
+        const PlacementPlan& plan = table.plan(d, t);
+        if (ports[t] + plan.cp > board.type(t).total_ports() ||
+            bits[t] + plan.cw * plan.cd > board.type(t).total_bits()) {
+          continue;
+        }
+        const double delta = table.cost(d, t) - table.cost(d, over);
+        if (best_t < 0 || delta < best_delta) {
+          best_delta = delta;
+          best_d = d;
+          best_t = static_cast<int>(t);
+        }
+      }
+    }
+    if (best_t < 0) {
+      // Repair stuck: last resort is the feasibility-first construction
+      // (ignores the input entirely but always yields an assignment when
+      // one is this easy to build).
+      assign = headroom_assignment(design, board, table);
+      return !assign.empty();
+    }
+    const PlacementPlan& from = table.plan(best_d, over);
+    const PlacementPlan& to = table.plan(best_d, best_t);
+    ports[over] -= from.cp;
+    bits[over] -= from.cw * from.cd;
+    ports[best_t] += to.cp;
+    bits[best_t] += to.cw * to.cd;
+    assign[best_d] = best_t;
+  }
+  return true;
+}
+
 GreedyResult map_greedy(const design::Design& design,
                         const arch::Board& board, const CostTable& table) {
   support::WallTimer timer;

@@ -33,4 +33,19 @@ std::vector<int> headroom_assignment(const design::Design& design,
                                      const arch::Board& board,
                                      const CostTable& table);
 
+/// Budget repair of a type-per-structure assignment that may overrun the
+/// all-conflicting port or bit budget of some type: repeatedly move the
+/// structure whose migration off the first over-budget type costs least
+/// (CostTable cost delta) to a type with room left, at most
+/// 4 * design.size() moves.  Moves target only feasible pairs that
+/// `allowed` (d * num_types + t, null = every feasible pair) admits.  When
+/// no move is left the construction falls back to headroom_assignment,
+/// which ignores `allowed`.  False when that fails too; otherwise the
+/// result may still overrun a budget if the move limit ran out (callers
+/// validate it).  The global mapper's primal heuristic and its Lagrangian
+/// bound both repair through this.
+bool repair_assignment(const design::Design& design, const arch::Board& board,
+                       const CostTable& table, std::vector<int>& assign,
+                       const std::vector<char>* allowed = nullptr);
+
 }  // namespace gmm::mapping

@@ -76,31 +76,34 @@ std::vector<PortfolioLane> default_portfolio_lanes(
     // Multi-device boards: every lane must optimize the same STITCHED
     // objective over the same partition, or racing would compare apples
     // to oranges (the flat global formulation cannot see inter-device
-    // pin costs).  Vary per-device search knobs only.
+    // pin costs).  Vary per-device search knobs only, and only knobs
+    // map_global passes through (it runs the primal heuristic at every
+    // node whatever heuristic_period says), so no two lanes race the same
+    // search.
     add("sharded", Formulation::kSharded);
     add("sharded-nocuts", Formulation::kSharded)
         ->pipeline.global.mip.max_cut_rounds = 0;
-    add("sharded-heur", Formulation::kSharded)
-        ->pipeline.global.mip.heuristic_period = 64;
+    add("sharded-norcfix", Formulation::kSharded)
+        ->pipeline.global.mip.use_reduced_cost_fixing = false;
     add("sharded-morecuts", Formulation::kSharded)
         ->pipeline.global.mip.max_cut_rounds = 16;
     add("sharded-nobases", Formulation::kSharded)
         ->pipeline.global.mip.max_stored_bases = 0;
-    add("sharded-lazyheur", Formulation::kSharded)
-        ->pipeline.global.mip.heuristic_period = 1024;
+    add("sharded-fewcuts", Formulation::kSharded)
+        ->pipeline.global.mip.max_cut_rounds = 2;
   } else {
     // Single-device menu, ordered by Table-3 expectation: the pipeline
     // usually proves first, the complete formulation occasionally wins
     // on small instances, and the knob variants hedge against cut or
-    // heuristic pathologies.  "sharded" degenerates to map_pipeline on
+    // basis-cache pathologies.  "sharded" degenerates to map_pipeline on
     // one device — the ROADMAP's map_sharded-vs-map_pipeline race.
     add("global", Formulation::kGlobal);
     add("complete", Formulation::kComplete);
     add("global-nocuts", Formulation::kGlobal)
         ->pipeline.global.mip.max_cut_rounds = 0;
     add("sharded", Formulation::kSharded);
-    add("global-heur", Formulation::kGlobal)
-        ->pipeline.global.mip.heuristic_period = 64;
+    add("global-nobases", Formulation::kGlobal)
+        ->pipeline.global.mip.max_stored_bases = 0;
     add("global-morecuts", Formulation::kGlobal)
         ->pipeline.global.mip.max_cut_rounds = 16;
   }

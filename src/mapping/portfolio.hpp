@@ -70,10 +70,12 @@ using PortfolioResult = SolveOutcome;
 /// to `lanes` (clamped to [1, kMaxPortfolioLanes]).  Every lane shares
 /// `base`'s gap contract — the menu varies search knobs only.  On
 /// single-device boards: global, complete, global-nocuts, sharded
-/// (degenerate = plain pipeline), global-heur, global-morecuts.  On
+/// (degenerate = plain pipeline), global-nobases, global-morecuts.  On
 /// multi-device boards all lanes are sharded variants with identical
 /// partitions (so every lane optimizes the same stitched objective) and
-/// varied per-device search knobs.
+/// varied per-device search knobs: sharded, -nocuts, -norcfix, -morecuts,
+/// -nobases, -fewcuts.  No two lanes of one formulation agree on every
+/// knob map_global passes through, so no lane races a copy of another.
 [[nodiscard]] std::vector<PortfolioLane> default_portfolio_lanes(
     const arch::Board& board, int lanes, const PipelineOptions& base = {});
 

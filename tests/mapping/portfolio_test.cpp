@@ -9,12 +9,15 @@
 //    counts;
 //  * a pre-cancelled parent token stops every lane before it starts;
 //  * a pre-expired parent deadline surfaces as kTimeLimit, not as a
-//    cancellation.
+//    cancellation;
+//  * no two lanes of one formulation in either default menu agree on
+//    every knob map_global passes through, so none races a copy.
 #include "mapping/portfolio.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "mapping/pipeline.hpp"
 #include "support/cancellation.hpp"
@@ -155,6 +158,42 @@ TEST(Portfolio, DefaultMenuSharesTheGapContract) {
     EXPECT_DOUBLE_EQ(lane.pipeline.global.mip.abs_gap, 0.0) << lane.name;
     EXPECT_DOUBLE_EQ(lane.pipeline.global.mip.time_limit_seconds, 42.0)
         << lane.name;
+  }
+}
+
+/// Every knob of a lane that map_global passes through to the search
+/// (it overwrites heuristic_period, so that knob is left out).
+auto passed_through(const PortfolioLane& lane) {
+  const GlobalOptions& g = lane.pipeline.global;
+  const ilp::MipOptions& mip = g.mip;
+  return std::make_tuple(
+      lane.kind, mip.max_cut_rounds, mip.use_reduced_cost_fixing,
+      mip.max_stored_bases, mip.use_presolve, mip.rel_gap, mip.abs_gap,
+      mip.node_limit, mip.time_limit_seconds, mip.num_threads,
+      mip.simplex.iteration_limit, mip.simplex.refactor_interval,
+      mip.simplex.stall_threshold, g.overlap_aware_capacity,
+      g.migration_penalty, g.weights.latency, g.weights.pin_delay,
+      g.weights.pin_io, lane.pipeline.detailed.allow_overlap,
+      lane.pipeline.max_retries);
+}
+
+TEST(Portfolio, NoTwoLanesOfOneFormulationRaceTheSameSearch) {
+  const workload::Table3Instance instance = small_instance();
+  const arch::Board boards[] = {
+      instance.board, arch::split_across_devices(instance.board, 2)};
+  ASSERT_TRUE(boards[1].multi_device());
+  for (const arch::Board& board : boards) {
+    const std::vector<PortfolioLane> lanes =
+        default_portfolio_lanes(board, kMaxPortfolioLanes);
+    ASSERT_EQ(static_cast<int>(lanes.size()), kMaxPortfolioLanes);
+    for (std::size_t a = 0; a < lanes.size(); ++a) {
+      for (std::size_t b = a + 1; b < lanes.size(); ++b) {
+        EXPECT_NE(lanes[a].name, lanes[b].name);
+        EXPECT_NE(passed_through(lanes[a]), passed_through(lanes[b]))
+            << lanes[a].name << " and " << lanes[b].name << " on "
+            << (board.multi_device() ? "two devices" : "one device");
+      }
+    }
   }
 }
 
