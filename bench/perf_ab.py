@@ -13,7 +13,10 @@ parent then change, pair 2 change then parent, ...) through each tree's
 own perfbench/run.py, and tabulates per run the scaled end-to-end
 metrics, host.probe_p10_ms and the unscaled measured.* values, with a
 per-workload summary: medians, the parent's quartiles and how many pairs
-the change won on each metric.
+the change won on each metric.  Last, it runs each tree once more per
+workload with --trace 1 (same seed and --seconds) and prints the exact
+search and service counts of both side by side, marking every count that
+differs: a change meant to keep the search must keep them all.
 
 Why: perfbench divides every timing by the p10 of probe_ms, a dense loop
 whose speed depends on where its code lands, so a change that only shifts
@@ -38,6 +41,10 @@ import tempfile
 
 TIMINGS = ("setup_s", "solve_s", "solve_p50_ms", "hit_p50_ms", "near_p50_ms")
 PROBE_NOTE = "host.probe_p10_ms"
+# Per-layer counts of a traced run that do not depend on the host's speed.
+COUNTS = ("ilp.nodes", "ilp.cuts", "ilp.rc_fixed", "lp.pivots",
+          "lp.refactorizations", "lp.work_units", "mapping.retries",
+          "service.near_misses", "service.cache_hit_ratio")
 
 
 def log(*parts):
@@ -91,12 +98,13 @@ def probe_offset(binary):
     return None, None
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     # Without CARGO_TARGET_DIR run.py uses the tree's own build.
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.rstrip("\n").split("\n")
     try:
@@ -144,6 +152,15 @@ def summarize(workload, runs, better):
               f"{move:+6.1f}%  wins {wins}/{pairs}")
 
 
+def compare_counts(workload, traced):
+    print(f"\n== {workload}: traced counts (--trace 1, one run per tree)")
+    for name in COUNTS:
+        p, c = (traced[side].get(name) for side in ("P", "C"))
+        mark = "" if p == c else "  DIFFERS"
+        print(f"  {name:24s} P {p if p is not None else '-':>14}  "
+              f"C {c if c is not None else '-':>14}{mark}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -187,7 +204,7 @@ def main():
     spec = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     record = {"parent": args.parent, "probe_offset_mod64": offsets,
-              "workloads": {}}
+              "workloads": {}, "traced": {}}
     for workload in filter(None, args.workloads.split(",")):
         runs = []
         print(f"\n== {workload}: {args.pairs} ABBA pairs of {args.seconds} s")
@@ -220,8 +237,19 @@ def main():
                 flags.append(f"probe p10 C/P {ratio:.2f}")
             if flags:
                 print(f"  pair {pair}: FLAG " + "; ".join(flags))
-        summarize(workload, runs, better)
+        if runs:
+            summarize(workload, runs, better)
+        traced = {}
+        for side in ("P", "C"):
+            run = run_once(trees[side], workload, args.seed, args.seconds,
+                           trace=1)
+            if run is None or not run["ok"]:
+                log(f"perf_ab: traced {side} run on {workload} failed: {run}")
+                return 1
+            traced[side] = run["metrics"]
+        compare_counts(workload, traced)
         record["workloads"][workload] = runs
+        record["traced"][workload] = traced
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -27,7 +27,9 @@
 // certifies the answer), and prints the assignment, placements and solve
 // statistics.  Multi-device boards take the sharded formulation and also
 // report each structure's device and the stitch transfer cost.  Batch
-// mode shares the parsed board read-only across concurrent pipelines.
+// mode runs every design through mapping::solve as well (global
+// formulation), sharing the parsed board read-only across the workers.
+// Exits 1 when any design maps to no certified answer.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,11 +41,12 @@
 
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
-#include "mapping/batch_mapper.hpp"
 #include "mapping/solve.hpp"
 #include "report/placement_report.hpp"
 #include "report/text_table.hpp"
 #include "support/string_util.hpp"
+#include "support/thread_pool.hpp"
+#include "support/timer.hpp"
 
 namespace {
 
@@ -297,24 +300,38 @@ int main(int argc, char** argv) {
                  static_cast<std::size_t>(
                      std::max(1u, std::thread::hardware_concurrency()))));
   }
-  std::vector<mapping::BatchItem> items;
-  items.reserve(designs.size());
-  for (const ParsedDesign& d : designs) {
-    items.push_back({.design = &d.design, .board = &board});
-  }
-  const mapping::BatchResult batch = mapping::map_batch(
-      items, pipeline_options, static_cast<std::size_t>(jobs));
+  // Each design gets the single-design global solve, certification
+  // included; at most `jobs` of them run at once.
+  mapping::SolveSpec spec;
+  spec.pipeline = pipeline_options;
+  std::vector<mapping::SolveOutcome> outcomes(designs.size());
+  support::ThreadPool pool(static_cast<std::size_t>(jobs));
+  const support::WallTimer timer;
+  support::parallel_for(pool, designs.size(), [&](std::size_t i) {
+    outcomes[i] = mapping::solve(designs[i].design, board, spec);
+  });
+  const double seconds = timer.seconds();
 
   int exit_code = 0;
+  std::size_t mapped = 0;
   report::TextTable table({"Design", "Status", "Objective", "Fragments",
                            "Solve (s)", "B&B nodes"});
   table.set_alignment(0, report::Align::kLeft);
   table.set_alignment(1, report::Align::kLeft);
   for (std::size_t i = 0; i < designs.size(); ++i) {
-    const mapping::PipelineResult& r = batch.results[i];
-    const bool ok = r.status == lp::SolveStatus::kOptimal ||
-                    r.status == lp::SolveStatus::kFeasible;
-    if (!ok) exit_code = 1;
+    const mapping::SolveOutcome& r = outcomes[i];
+    const bool ok = r.has_mapping() &&
+                    (r.status == lp::SolveStatus::kOptimal ||
+                     r.status == lp::SolveStatus::kFeasible);
+    if (ok) {
+      ++mapped;
+    } else {
+      exit_code = 1;
+      if (!r.certify_failure.empty()) {
+        std::fprintf(stderr, "%s: mapping failed: %s\n",
+                     designs[i].path.c_str(), r.certify_failure.c_str());
+      }
+    }
     table.add_row({designs[i].design.name(), lp::to_string(r.status),
                    ok ? std::to_string(static_cast<long long>(
                             r.assignment.objective))
@@ -326,9 +343,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\n%zu/%zu designs mapped in %.3fs over %d workers "
               "(%.1f designs/s)\n",
-              batch.succeeded, batch.results.size(), batch.seconds, jobs,
-              batch.seconds > 0
-                  ? static_cast<double>(batch.results.size()) / batch.seconds
-                  : 0.0);
+              mapped, outcomes.size(), seconds, jobs,
+              seconds > 0 ? static_cast<double>(outcomes.size()) / seconds
+                          : 0.0);
   return exit_code;
 }

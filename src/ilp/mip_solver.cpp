@@ -187,8 +187,8 @@ class Search {
            nodes_.load(std::memory_order_relaxed) >= kRelaxationAfterNodes;
   }
   /// Call the relaxation (without holding heap_mutex_): publish its bound,
-  /// and return its fixings mapped to reduced space, skipping those that
-  /// presolve or the root already decided.
+  /// and return its fixings mapped to reduced space, skipping columns that
+  /// presolve removed or whose bounds are already equal.
   std::shared_ptr<const Fixings> run_relaxation();
   /// Wall-clock budget left before the nearer of the option time limit and
   /// the cancel token's deadline (kInf when neither is armed); clamps the
@@ -425,7 +425,7 @@ std::shared_ptr<const Fixings> Search::run_relaxation() {
     if (j < 0 || j >= n) continue;
     const Index r = pre_.var_map[j];
     if (r == lp::kInvalidIndex || working_.var_lb(r) == working_.var_ub(r)) {
-      continue;  // presolve or the root already decided it
+      continue;  // presolve or the bounds already decided it
     }
     fixings->push_back({r, value, value});
   }
@@ -516,7 +516,6 @@ void Search::Worker::run_rounding_heuristic(
 }
 
 void Search::Worker::run_user_heuristic(const std::vector<double>& reduced_x) {
-  if (!s_.options_.primal_heuristic) return;
   const auto candidate =
       s_.options_.primal_heuristic(lp::postsolve(s_.pre_, reduced_x));
   if (candidate.has_value()) s_.offer_incumbent(*candidate);
@@ -624,13 +623,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
       return;
     }
 
-    // (ordinal-1) % N == 0 runs at the first node and every N after it;
-    // the historical `ordinal % N == 1` picked the same nodes for N > 1
-    // but was never true for N == 1, silently disabling "every node".
-    if (s_.options_.primal_heuristic &&
-        (node_ordinal - 1) %
-                std::max<std::int64_t>(1, s_.options_.heuristic_period) ==
-            0) {
+    if (s_.options_.primal_heuristic) {
       run_user_heuristic(x);
     } else if (node_ordinal % 64 == 1) {
       run_rounding_heuristic(x);
@@ -795,11 +788,11 @@ MipResult Search::run() {
       lp::StandardForm::build(*reduced_));
 
   // ---- MIP start --------------------------------------------------------
-  // Seed the incumbent BEFORE the cut loop and the first node: best-first
-  // pruning (and the queued-node prune check) bite immediately, and
-  // root reduced-cost fixing below needs an incumbent to fix against.
-  // offer_incumbent validates the candidate, so a stale or infeasible
-  // start degrades to a no-op instead of corrupting the search.
+  // Seed the incumbent BEFORE the cut loop: a search stopped during the
+  // loop still returns it, and best-first pruning (and the queued-node
+  // prune check) bites from node one.  offer_incumbent validates the
+  // candidate, so a stale or infeasible start degrades to a no-op
+  // instead of corrupting the search.
   if (static_cast<Index>(options_.mip_start.size()) == original_.num_vars() &&
       original_.num_vars() > 0) {
     offer_incumbent(options_.mip_start);
@@ -807,56 +800,12 @@ MipResult Search::run() {
         incumbent_snapshot_.load(std::memory_order_relaxed) < kInf;
   }
 
-  // ---- conflict cliques --------------------------------------------------
-  // Map caller-supplied cliques (ORIGINAL variable space) through the
-  // presolve once.  A member fixed at 1 forces every other member to 0 —
-  // applied to working_ bounds right away; members fixed at 0 (or
-  // eliminated) simply drop out.  Cliques that survive with >= 2 members
-  // feed the violation-driven separation in the cut loop below.
-  std::vector<std::vector<Index>> cliques;
-  {
-    bool bounds_changed = false;
-    for (const auto& orig_clique : options_.conflict_cliques) {
-      std::vector<Index> mapped;
-      bool forced_one = false;
-      for (const Index v : orig_clique) {
-        if (v < 0 || v >= static_cast<Index>(pre_.var_map.size())) continue;
-        const Index r = pre_.var_map[v];
-        if (r == lp::kInvalidIndex) {
-          if (pre_.fixed_value[v] >= 0.5) forced_one = true;
-          continue;
-        }
-        if (reduced_->var_type(r) != lp::VarType::kBinary) {
-          mapped.clear();
-          break;  // only pure binary cliques are sound as <= 1 rows
-        }
-        mapped.push_back(r);
-      }
-      if (forced_one) {
-        for (const Index r : mapped) {
-          if (working_.var_ub(r) > 0.0) {
-            working_.set_var_bounds(r, working_.var_lb(r), 0.0);
-            bounds_changed = true;
-          }
-        }
-        continue;
-      }
-      if (mapped.size() >= 2) cliques.push_back(std::move(mapped));
-    }
-    if (bounds_changed) {
-      sf_ = std::make_unique<lp::StandardForm>(
-          lp::StandardForm::build(working_));
-    }
-  }
-  std::vector<bool> clique_added(cliques.size(), false);
-
   // ---- root cut loop -----------------------------------------------------
-  // Per round on the root LP: reduced-cost bound fixing from the
-  // incumbent, lifted cover separation, violated-clique separation; then
-  // rebuild the standard form and re-solve.  Each round pays a model
-  // rebuild + cold solve, which the bound improvement repays many times
-  // over on the mapping formulations.  Serial: the rounds mutate the
-  // model every worker will share.
+  // Per round on the root LP: lifted cover separation, then rebuild the
+  // standard form and re-solve.  Each round pays a model rebuild + cold
+  // solve, which the bound improvement repays many times over on the
+  // mapping formulations.  Serial: the rounds mutate the model every
+  // worker will share.
   std::int64_t root_refactorizations = 0;
   {
     auto root_engine = std::make_unique<lp::SimplexEngine>(*sf_);
@@ -874,7 +823,6 @@ MipResult Search::run() {
       const SolveStatus root_status = root_engine->solve(simplex);
       result_.lp_iterations += root_engine->stats().iterations - before;
       if (root_status != SolveStatus::kOptimal) break;
-      bool model_changed = false;
       if (options_.relaxation_bound) {
         // Duals of the original rows, for the relaxation to start from.
         // Cut rows are appended after them, so row_map stays valid.
@@ -888,72 +836,19 @@ MipResult Search::run() {
         }
       }
 
-      // Reduced-cost fixing.  A nonbasic integer column at a bound with
-      // reduced cost d could only move delta away from that bound before
-      // the LP bound z + |d| * delta crosses the prune threshold — the
-      // SAME threshold node pruning uses, so tightening to that delta
-      // discards only solutions the search would prune anyway.
-      const double threshold = prune_threshold();
-      if (options_.use_reduced_cost_fixing &&
-          incumbent_snapshot_.load(std::memory_order_relaxed) < kInf) {
-        const double z_root =
-            root_engine->objective_value() + pre_.objective_offset;
-        for (const Index j : int_cols_) {
-          const double lb = working_.var_lb(j);
-          const double ub = working_.var_ub(j);
-          if (lb >= ub) continue;
-          const double d = root_engine->reduced_cost(j);
-          const lp::VStat stat = root_engine->column_status(j);
-          if (stat == lp::VStat::kAtLower && d > lp::kDualTol) {
-            const double delta = (threshold - z_root) / d;
-            const double new_ub = lb + std::floor(delta + 1e-9);
-            if (new_ub < ub - 0.5) {
-              working_.set_var_bounds(j, lb, std::max(lb, new_ub));
-              ++result_.rc_fixed;
-              model_changed = true;
-            }
-          } else if (stat == lp::VStat::kAtUpper && d < -lp::kDualTol) {
-            const double delta = (threshold - z_root) / -d;
-            const double new_lb = ub - std::floor(delta + 1e-9);
-            if (new_lb > lb + 0.5) {
-              working_.set_var_bounds(j, std::min(ub, new_lb), ub);
-              ++result_.rc_fixed;
-              model_changed = true;
-            }
-          }
-        }
-      }
-
-      const std::vector<double> x = root_engine->structural_solution();
-
       // Lifted knapsack cover cuts.
-      const std::vector<CoverCut> cuts = separate_cover_cuts(working_, x);
+      const std::vector<CoverCut> cuts =
+          separate_cover_cuts(working_, root_engine->structural_solution());
+      if (cuts.empty()) break;
       for (const CoverCut& cut : cuts) {
         lp::LinExpr expr;
         for (std::size_t k = 0; k < cut.vars.size(); ++k) {
           expr.add(cut.vars[k], cut.coefs[k]);
         }
         working_.add_row(expr, -kInf, cut.rhs);
-        model_changed = true;
       }
       result_.cover_cuts += static_cast<std::int64_t>(cuts.size());
 
-      // Clique cuts: add sum_{j in Q} x_j <= 1 for every not-yet-added
-      // clique the root LP violates.
-      for (std::size_t c = 0; c < cliques.size(); ++c) {
-        if (clique_added[c]) continue;
-        double activity = 0.0;
-        for (const Index j : cliques[c]) activity += x[j];
-        if (activity <= 1.0 + 1e-6) continue;
-        lp::LinExpr expr;
-        for (const Index j : cliques[c]) expr.add(j, 1.0);
-        working_.add_row(expr, -kInf, 1.0);
-        clique_added[c] = true;
-        ++result_.clique_cuts;
-        model_changed = true;
-      }
-
-      if (!model_changed) break;
       root_refactorizations += root_engine->stats().refactorizations;
       result_.lp_work_units += root_engine->stats().work_units;
       sf_ =

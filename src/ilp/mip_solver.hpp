@@ -11,10 +11,12 @@
 //     pushed node carries a snapshot of its parent's optimal basis, and
 //     the pop restores it — so even a heap pop warm-starts one branching
 //     change away instead of from an unrelated subtree;
+//   * a root cut loop (MipOptions::max_cut_rounds) that separates lifted
+//     knapsack cover cuts and re-solves;
 //   * branching on pseudocosts with most-fractional initialization;
-//   * incumbents from integral LP relaxations, an optional user-supplied
-//     primal heuristic (the complete memory mapper injects its packing
-//     repair here), and the dive itself;
+//   * incumbents from integral LP relaxations, the dive itself, and an
+//     optional user-supplied primal heuristic run at every branched node
+//     (the memory mappers inject their repair heuristics here);
 //   * an optional problem-specific relaxation (MipOptions::
 //     relaxation_bound; the global memory mapper installs a Lagrangian
 //     knapsack bound), called once when the tree is still open after
@@ -58,14 +60,14 @@ using PrimalHeuristic = std::function<std::optional<std::vector<double>>(
 /// The bound a node must stay below to be explored: the incumbent minus
 /// the optimality gap, max(abs_gap, rel_gap * |incumbent|).  +inf when
 /// there is no incumbent yet (every finite bound stays open).  Node
-/// pruning, root reduced-cost fixing and relaxation fixings all use it.
+/// pruning and relaxation fixings both use it.
 [[nodiscard]] double prune_threshold(double incumbent, double rel_gap,
                                      double abs_gap);
 
 /// What a RelaxationBound sees, all in ORIGINAL variable space.
 struct RelaxationQuery {
-  /// Current global bounds of every variable: the model's own, pins,
-  /// presolve reductions and root reduced-cost fixing.
+  /// Current global bounds of every variable: the model's own, pins and
+  /// presolve reductions.
   std::vector<double> lb, ub;
   /// Dual of every ORIGINAL row in the last root LP the cut loop solved
   /// (0 where presolve removed the row); empty when no root LP was solved.
@@ -111,25 +113,11 @@ struct MipOptions {
   /// loop and all branch-and-bound workers alike).
   lp::SimplexOptions simplex;
   /// Rounds of root-node cut separation (0 = off).  Each round separates
-  /// lifted knapsack cover cuts, clique cuts from `conflict_cliques`,
-  /// and (with an incumbent) applies reduced-cost bound fixing.  The
-  /// mapping formulations' port/capacity knapsacks leave the plain LP
-  /// bound several percent weak; the cut loop closes most of it.
+  /// lifted knapsack cover cuts from the root LP, adds them as rows and
+  /// re-solves.  The mapping formulations' port/capacity knapsacks leave
+  /// the plain LP bound several percent weak; the cut loop closes most of
+  /// it.
   int max_cut_rounds = 8;
-  /// Cliques of mutually exclusive binary variables in ORIGINAL variable
-  /// space (at most one of each clique can be 1), mined by callers from
-  /// problem structure the row data does not expose — the global mapper
-  /// passes conflict-graph cliques whose members cannot share any
-  /// memory's resources.  The root loop adds `sum_{j in Q} x_j <= 1`
-  /// whenever the root LP violates it.  Non-binary or presolve-fixed
-  /// members are handled soundly (fixed-at-1 members zero the rest).
-  std::vector<std::vector<lp::Index>> conflict_cliques;
-  /// Root reduced-cost fixing: once an incumbent exists, any nonbasic
-  /// integer column whose reduced cost proves every step away from its
-  /// bound exceeds the prune threshold gets its bounds tightened.  Uses
-  /// the SAME threshold as node pruning, so it never cuts off a solution
-  /// the search itself would have kept.
-  bool use_reduced_cost_fixing = true;
   /// Per-open-node LP basis cache: every node pushed to the shared heap
   /// carries a snapshot of its parent's optimal basis, and the worker
   /// that later pops it warm-starts from that snapshot — so a heap pop
@@ -141,8 +129,8 @@ struct MipOptions {
   /// The cache only ever changes how fast nodes re-solve, never which
   /// objective the search returns.
   std::size_t max_stored_bases = 4096;
-  /// Invoke the primal heuristic at the root and every N processed nodes.
-  std::int64_t heuristic_period = 256;
+  /// Called at every node whose LP solution is fractional (the built-in
+  /// rounding heuristic runs every 64 nodes instead when none is set).
   PrimalHeuristic primal_heuristic;
   /// Optional relaxation, called at most once per solve, between dives,
   /// when kRelaxationAfterNodes nodes are done and open nodes remain (so
@@ -211,9 +199,10 @@ struct MipResult {
   /// workers); see lp::SimplexStats::work_units.
   std::int64_t lp_work_units = 0;
   std::int64_t cover_cuts = 0;   // lifted cover cuts added at the root
-  std::int64_t clique_cuts = 0;  // conflict-clique cuts added at the root
-  /// Columns bound-tightened by root reduced-cost fixing or fixed by the
-  /// relaxation (MipOptions::relaxation_bound).
+  /// Always 0: the root separates cover cuts only.  Kept because
+  /// perfbench sums it into its cut count.
+  std::int64_t clique_cuts = 0;
+  /// Columns fixed by the relaxation (MipOptions::relaxation_bound).
   std::int64_t rc_fixed = 0;
   /// Basis warm-start cache counters (see MipOptions::max_stored_bases):
   /// snapshots stored/loaded/evicted plus the dual-pivot split between

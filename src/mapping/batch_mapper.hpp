@@ -1,14 +1,15 @@
 // Batched mapping driver: map N independent designs concurrently.
 //
-// This is the serving-path counterpart of the single-design pipeline —
-// the "many scenarios at once" workload: a board (with its parsed device
-// catalog and bank types) is loaded once and shared read-only by every
-// request, while a ThreadPool fans the per-design global/detailed
-// pipelines out across workers.  Each pipeline run is independent, so
-// results are deterministic per item regardless of worker interleaving
-// (when the per-item solver itself runs with num_threads == 1).
+// The sharded mapper's fan-out: every (part, device) candidate is one
+// item, boards are loaded once and shared read-only by every item, and a
+// ThreadPool spreads the per-item global/detailed pipelines across
+// workers.  Results are uncertified pipeline results; callers serving
+// answers go through mapping::solve instead.  Each pipeline run is
+// independent, so results are deterministic per item regardless of
+// worker interleaving (when the per-item solver itself runs with
+// num_threads == 1).
 //
-// Two entry points: one borrowing a caller-owned pool (so a server can
+// Two entry points: one borrowing a caller-owned pool (so a caller can
 // share a single pool between batches) and an owning convenience that
 // spins one up for the call.
 #pragma once

@@ -192,12 +192,11 @@ CompleteResult map_complete(const design::Design& design,
   // ---- packing-repair primal heuristic ---------------------------------
   ilp::MipOptions mip_options = options.mip;
   if (options.use_packing_heuristic) {
-    // Run on every node: once the cost-bearing Z's are integral the
-    // packer's incumbent matches the node bound exactly (the objective
-    // lives on Z alone), pruning the whole symmetric placement plateau.
-    mip_options.heuristic_period = 1;
-    // Round the LP's Z to an assignment, run the detailed packer, and
-    // encode the placement back into the flat variable space.
+    // The search runs it at every node: once the cost-bearing Z's are
+    // integral the packer's incumbent matches the node bound exactly (the
+    // objective lives on Z alone), pruning the whole symmetric placement
+    // plateau.  Round the LP's Z to an assignment, run the detailed
+    // packer, and encode the placement back into the flat variable space.
     mip_options.primal_heuristic =
         [&, num_ds, num_types](const std::vector<double>& lp_x)
         -> std::optional<std::vector<double>> {

@@ -105,38 +105,6 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
     }
   }
 
-  // ---- mined variable cliques for the root cut loop ----------------------
-  // Within one conflict clique and one type, every member draws on the
-  // same port and capacity rows, so any two structures whose demands each
-  // exceed HALF the budget are mutually exclusive: at most one of their
-  // Z_dt can be 1.  Handing those variable cliques to the MIP solver lets
-  // its root loop add sum Z <= 1 rows the knapsack relaxation cannot see
-  // (fractional Z's split a budget the integer solution cannot).
-  std::vector<std::vector<lp::Index>>& var_cliques = global.var_cliques;
-  for (std::size_t t = 0; t < num_types; ++t) {
-    const std::int64_t total_ports = board.type(t).total_ports();
-    const std::int64_t total_bits = board.type(t).total_bits();
-    for (const auto& clique : cliques) {
-      std::vector<lp::Index> heavy_ports, heavy_bits;
-      for (const std::size_t d : clique) {
-        if (z[d][t] == lp::kInvalidIndex) continue;
-        const PlacementPlan& plan = table.plan(d, t);
-        if (2 * plan.cp > total_ports) heavy_ports.push_back(z[d][t]);
-        if (2 * plan.cw * plan.cd > total_bits) {
-          heavy_bits.push_back(z[d][t]);
-        }
-      }
-      // Figure-3 port estimates usually dominate capacity, so the bits
-      // clique is often identical to the ports one; drop the duplicate.
-      if (heavy_bits.size() >= 2 && heavy_bits != heavy_ports) {
-        var_cliques.push_back(std::move(heavy_bits));
-      }
-      if (heavy_ports.size() >= 2) {
-        var_cliques.push_back(std::move(heavy_ports));
-      }
-    }
-  }
-
   // ---- retry cuts ---------------------------------------------------------
   for (const auto& cut : options.no_good_cuts) {
     lp::LinExpr expr;
@@ -191,37 +159,31 @@ GlobalResult map_global(const design::Design& design,
   // against the actual rows regardless.  Early incumbents prune the
   // near-optimal plateaus these port/capacity knapsacks produce.
   ilp::MipOptions mip_options = options.mip;
-  mip_options.heuristic_period = 1;
-  for (auto& q : formulated->var_cliques) {
-    mip_options.conflict_cliques.push_back(std::move(q));
-  }
-  if (!mip_options.primal_heuristic) {
-    mip_options.primal_heuristic =
-        [&model, &board, &table, &z, &design, num_ds,
-         num_types](const std::vector<double>& lp_x)
-        -> std::optional<std::vector<double>> {
-      std::vector<int> assign(num_ds, -1);
-      for (std::size_t d = 0; d < num_ds; ++d) {
-        double best = -1.0;
-        for (std::size_t t = 0; t < num_types; ++t) {
-          if (z[d][t] != lp::kInvalidIndex && lp_x[z[d][t]] > best) {
-            best = lp_x[z[d][t]];
-            assign[d] = static_cast<int>(t);
-          }
+  mip_options.primal_heuristic =
+      [&model, &board, &table, &z, &design, num_ds,
+       num_types](const std::vector<double>& lp_x)
+      -> std::optional<std::vector<double>> {
+    std::vector<int> assign(num_ds, -1);
+    for (std::size_t d = 0; d < num_ds; ++d) {
+      double best = -1.0;
+      for (std::size_t t = 0; t < num_types; ++t) {
+        if (z[d][t] != lp::kInvalidIndex && lp_x[z[d][t]] > best) {
+          best = lp_x[z[d][t]];
+          assign[d] = static_cast<int>(t);
         }
-        if (assign[d] < 0) return std::nullopt;
       }
-      if (!repair_assignment(design, board, table, assign)) {
-        return std::nullopt;
-      }
-      std::vector<double> x(static_cast<std::size_t>(model.num_vars()), 0.0);
-      for (std::size_t d = 0; d < num_ds; ++d) {
-        if (z[d][assign[d]] == lp::kInvalidIndex) return std::nullopt;
-        x[z[d][assign[d]]] = 1.0;
-      }
-      return x;
-    };
-  }
+      if (assign[d] < 0) return std::nullopt;
+    }
+    if (!repair_assignment(design, board, table, assign)) {
+      return std::nullopt;
+    }
+    std::vector<double> x(static_cast<std::size_t>(model.num_vars()), 0.0);
+    for (std::size_t d = 0; d < num_ds; ++d) {
+      if (z[d][assign[d]] == lp::kInvalidIndex) return std::nullopt;
+      x[z[d][assign[d]]] = 1.0;
+    }
+    return x;
+  };
 
   // ---- Lagrangian knapsack bound ------------------------------------------
   // Called by the tree search once it is still open after a few dozen
@@ -230,9 +192,7 @@ GlobalResult map_global(const design::Design& design,
   const LagrangianBound lagrangian(design, board, table, model, z,
                                    formulated->cliques,
                                    formulated->uniqueness_rows);
-  if (!mip_options.relaxation_bound) {
-    mip_options.relaxation_bound = std::cref(lagrangian);
-  }
+  mip_options.relaxation_bound = std::cref(lagrangian);
 
   // ---- warm start + pins (incremental re-solve) ---------------------------
   // The prior mapping seeds the B&B incumbent; pinned structures collapse

@@ -12,11 +12,12 @@
 //
 // Objective: the CostTable's weighted latency + pin-delay + pin-I/O.
 //
-// Solving: the branch and bound gets the conflict-clique variable sets
-// for its root cut loop, a greedy budget repair as primal heuristic at
-// every node, and a Lagrangian knapsack bound (lagrangian.hpp) that the
-// search calls once it is still open after a few dozen nodes: it closes
-// the search, fixes pairs and seeds incumbents.
+// Solving: the branch and bound separates lifted covers of the port and
+// capacity knapsacks at the root, runs a greedy budget repair as primal
+// heuristic at every node, and calls a Lagrangian knapsack bound
+// (lagrangian.hpp) once it is still open after a few dozen nodes: the
+// bound closes the search, fixes (structure, type) pairs and seeds
+// incumbents.
 #pragma once
 
 #include <optional>
@@ -31,6 +32,8 @@ namespace gmm::mapping {
 
 struct GlobalOptions {
   CostWeights weights;
+  /// Search options; map_global installs its own primal_heuristic and
+  /// relaxation_bound over whatever these hold.
   ilp::MipOptions mip;
   /// Use conflict-clique capacity constraints (overlap-aware).  When
   /// false, one conservative all-structures capacity row per type.
@@ -75,8 +78,6 @@ struct GlobalModel {
   std::vector<lp::Index> uniqueness_rows;
   /// Conflict cliques carrying one port and one capacity row per type.
   std::vector<std::vector<std::size_t>> cliques;
-  /// Mutually exclusive Z sets the root cut loop may add as rows.
-  std::vector<std::vector<lp::Index>> var_cliques;
 };
 
 /// Build the model: variables, rows, migration penalties and no-good

@@ -77,14 +77,13 @@ std::vector<PortfolioLane> default_portfolio_lanes(
     // objective over the same partition, or racing would compare apples
     // to oranges (the flat global formulation cannot see inter-device
     // pin costs).  Vary per-device search knobs only, and only knobs
-    // map_global passes through (it runs the primal heuristic at every
-    // node whatever heuristic_period says), so no two lanes race the same
-    // search.
+    // map_global passes through (it installs its own primal heuristic and
+    // relaxation), so no two lanes race the same search.
     add("sharded", Formulation::kSharded);
     add("sharded-nocuts", Formulation::kSharded)
         ->pipeline.global.mip.max_cut_rounds = 0;
-    add("sharded-norcfix", Formulation::kSharded)
-        ->pipeline.global.mip.use_reduced_cost_fixing = false;
+    add("sharded-nopresolve", Formulation::kSharded)
+        ->pipeline.global.mip.use_presolve = false;
     add("sharded-morecuts", Formulation::kSharded)
         ->pipeline.global.mip.max_cut_rounds = 16;
     add("sharded-nobases", Formulation::kSharded)
@@ -95,13 +94,14 @@ std::vector<PortfolioLane> default_portfolio_lanes(
     // Single-device menu, ordered by Table-3 expectation: the pipeline
     // usually proves first, the complete formulation occasionally wins
     // on small instances, and the knob variants hedge against cut or
-    // basis-cache pathologies.  "sharded" degenerates to map_pipeline on
-    // one device — the ROADMAP's map_sharded-vs-map_pipeline race.
+    // basis-cache pathologies.  No sharded lane: on one device
+    // map_sharded is map_pipeline with the global lane's options.
     add("global", Formulation::kGlobal);
     add("complete", Formulation::kComplete);
     add("global-nocuts", Formulation::kGlobal)
         ->pipeline.global.mip.max_cut_rounds = 0;
-    add("sharded", Formulation::kSharded);
+    add("global-fewcuts", Formulation::kGlobal)
+        ->pipeline.global.mip.max_cut_rounds = 2;
     add("global-nobases", Formulation::kGlobal)
         ->pipeline.global.mip.max_stored_bases = 0;
     add("global-morecuts", Formulation::kGlobal)

@@ -12,7 +12,7 @@
 // configured lane's, which can be the slowest.
 //
 // Quality contract: lanes may vary SEARCH strategy (formulation, cut
-// rounds, heuristic cadence, basis-cache size) but never the OPTIMALITY
+// rounds, presolve, basis-cache size) but never the OPTIMALITY
 // contract (rel_gap/abs_gap).  A proof is a proof under either
 // formulation — the paper's optimality-preservation claim — so racing
 // never returns a worse objective than any single lane at gap 0, and
@@ -69,13 +69,14 @@ using PortfolioResult = SolveOutcome;
 /// The standard lane menu, ordered by expected time-to-proof, truncated
 /// to `lanes` (clamped to [1, kMaxPortfolioLanes]).  Every lane shares
 /// `base`'s gap contract — the menu varies search knobs only.  On
-/// single-device boards: global, complete, global-nocuts, sharded
-/// (degenerate = plain pipeline), global-nobases, global-morecuts.  On
-/// multi-device boards all lanes are sharded variants with identical
-/// partitions (so every lane optimizes the same stitched objective) and
-/// varied per-device search knobs: sharded, -nocuts, -norcfix, -morecuts,
-/// -nobases, -fewcuts.  No two lanes of one formulation agree on every
-/// knob map_global passes through, so no lane races a copy of another.
+/// single-device boards: global, complete, global-nocuts, global-fewcuts,
+/// global-nobases, global-morecuts (no sharded lane: on one device it
+/// would run the global lane's search).  On multi-device boards all lanes
+/// are sharded variants with identical partitions (so every lane
+/// optimizes the same stitched objective) and varied per-device search
+/// knobs: sharded, -nocuts, -nopresolve, -morecuts, -nobases, -fewcuts.
+/// No two lanes of one formulation agree on every knob map_global passes
+/// through, so no lane races a copy of another.
 [[nodiscard]] std::vector<PortfolioLane> default_portfolio_lanes(
     const arch::Board& board, int lanes, const PipelineOptions& base = {});
 

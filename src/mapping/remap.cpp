@@ -31,7 +31,7 @@ RemapResult remap(const design::Design& design, const arch::Board& board,
   // board) shows up as infeasibility; the cold path is always available.
   const bool constrained = !warm.global.pinned_structures.empty() ||
                            warm.global.migration_penalty > 0.0;
-  if (options.fallback_to_cold && constrained &&
+  if (constrained &&
       out.result.status != lp::SolveStatus::kCancelled &&
       out.result.status != lp::SolveStatus::kTimeLimit) {
     GMM_LOG(kInfo) << "remap: incremental solve failed ("

@@ -38,9 +38,6 @@ struct RemapOptions {
   std::vector<std::size_t> pinned_structures;
   /// Extra model cost for moving a structure off its prior type (0 = off).
   double migration_penalty = 0.0;
-  /// Re-run without warm start / pins / penalty when the incremental
-  /// solve cannot find a mapping.
-  bool fallback_to_cold = true;
 };
 
 struct RemapResult {

@@ -278,7 +278,6 @@ TEST(MipSolver, PrimalHeuristicAccepted) {
   w.add(c, 2);
   m.add_constraint(w, Sense::kLessEqual, 6);
   MipOptions options;
-  options.heuristic_period = 1;
   options.primal_heuristic =
       [](const std::vector<double>&) -> std::optional<std::vector<double>> {
     return std::vector<double>{1.0, 0.0, 1.0};  // value 17, feasible
@@ -297,7 +296,6 @@ TEST(MipSolver, RejectsInfeasiblePrimalHeuristic) {
   w.add(b, 4);
   m.add_constraint(w, Sense::kLessEqual, 4);
   MipOptions options;
-  options.heuristic_period = 1;
   options.primal_heuristic =
       [](const std::vector<double>&) -> std::optional<std::vector<double>> {
     return std::vector<double>{1.0, 1.0};  // violates the row

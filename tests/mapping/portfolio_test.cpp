@@ -10,8 +10,9 @@
 //  * a pre-cancelled parent token stops every lane before it starts;
 //  * a pre-expired parent deadline surfaces as kTimeLimit, not as a
 //    cancellation;
-//  * no two lanes of one formulation in either default menu agree on
-//    every knob map_global passes through, so none races a copy.
+//  * no two lanes in either default menu agree on the formulation they
+//    run and every knob map_global passes through, so none races a copy
+//    (a sharded lane on one usable device runs the global pipeline).
 #include "mapping/portfolio.hpp"
 
 #include <gtest/gtest.h>
@@ -162,19 +163,27 @@ TEST(Portfolio, DefaultMenuSharesTheGapContract) {
 }
 
 /// Every knob of a lane that map_global passes through to the search
-/// (it overwrites heuristic_period, so that knob is left out).
-auto passed_through(const PortfolioLane& lane) {
+/// (it installs its own primal heuristic and relaxation, so those are
+/// left out).  A sharded lane on a board with one usable device runs
+/// map_pipeline with the lane's options, so it compares as global.
+auto passed_through(const PortfolioLane& lane, const arch::Board& board) {
+  std::size_t usable = 0;
+  for (std::size_t k = 0; k < board.num_devices(); ++k) {
+    if (board.device_banks(k) > 0) ++usable;
+  }
+  const Formulation kind =
+      lane.kind == Formulation::kSharded && usable == 1 ? Formulation::kGlobal
+                                                        : lane.kind;
   const GlobalOptions& g = lane.pipeline.global;
   const ilp::MipOptions& mip = g.mip;
   return std::make_tuple(
-      lane.kind, mip.max_cut_rounds, mip.use_reduced_cost_fixing,
-      mip.max_stored_bases, mip.use_presolve, mip.rel_gap, mip.abs_gap,
-      mip.node_limit, mip.time_limit_seconds, mip.num_threads,
-      mip.simplex.iteration_limit, mip.simplex.refactor_interval,
-      mip.simplex.stall_threshold, g.overlap_aware_capacity,
-      g.migration_penalty, g.weights.latency, g.weights.pin_delay,
-      g.weights.pin_io, lane.pipeline.detailed.allow_overlap,
-      lane.pipeline.max_retries);
+      kind, mip.max_cut_rounds, mip.max_stored_bases, mip.use_presolve,
+      mip.rel_gap, mip.abs_gap, mip.node_limit, mip.time_limit_seconds,
+      mip.num_threads, mip.simplex.iteration_limit,
+      mip.simplex.refactor_interval, mip.simplex.stall_threshold,
+      g.overlap_aware_capacity, g.migration_penalty, g.weights.latency,
+      g.weights.pin_delay, g.weights.pin_io,
+      lane.pipeline.detailed.allow_overlap, lane.pipeline.max_retries);
 }
 
 TEST(Portfolio, NoTwoLanesOfOneFormulationRaceTheSameSearch) {
@@ -189,7 +198,8 @@ TEST(Portfolio, NoTwoLanesOfOneFormulationRaceTheSameSearch) {
     for (std::size_t a = 0; a < lanes.size(); ++a) {
       for (std::size_t b = a + 1; b < lanes.size(); ++b) {
         EXPECT_NE(lanes[a].name, lanes[b].name);
-        EXPECT_NE(passed_through(lanes[a]), passed_through(lanes[b]))
+        EXPECT_NE(passed_through(lanes[a], board),
+                  passed_through(lanes[b], board))
             << lanes[a].name << " and " << lanes[b].name << " on "
             << (board.multi_device() ? "two devices" : "one device");
       }
