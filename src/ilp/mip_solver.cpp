@@ -115,7 +115,7 @@ class Search {
   /// synchronization helpers.
   class Worker {
    public:
-    explicit Worker(Search& search) : s_(search), engine_(*search.sf_) {
+    explicit Worker(Search& search) : s_(search) {
       pcost_.assign(search.reduced_->num_vars(), Pseudocost{});
     }
 
@@ -123,11 +123,10 @@ class Search {
     void loop();
 
     [[nodiscard]] std::int64_t lp_iterations() const { return lp_iterations_; }
-    [[nodiscard]] std::int64_t refactorizations() const {
-      return engine_.stats().refactorizations;
-    }
-    [[nodiscard]] std::int64_t work_units() const {
-      return engine_.stats().work_units;
+    /// The engine's cumulative counts; they include the root cut loop's
+    /// when this worker took over the root engine.
+    [[nodiscard]] lp::SimplexStats engine_stats() const {
+      return engine_ != nullptr ? engine_->stats() : lp::SimplexStats{};
     }
     [[nodiscard]] bool popped_any() const { return popped_any_; }
     [[nodiscard]] double last_popped_bound() const {
@@ -158,7 +157,9 @@ class Search {
     void dive(std::shared_ptr<const NodeData> node, bool warm_start);
 
     Search& s_;
-    lp::SimplexEngine engine_;  // private per-worker engine
+    /// Private per-worker engine, built at the first pop; the worker that
+    /// pops the root takes over the cut loop's engine instead.
+    std::unique_ptr<lp::SimplexEngine> engine_;
     std::vector<Pseudocost> pcost_;  // indexed by reduced column
     std::int64_t lp_iterations_ = 0;
     // This worker's share of the cache counters: loaded/cold_pops and the
@@ -221,6 +222,11 @@ class Search {
   const lp::Model* reduced_ = nullptr;
   std::unique_ptr<lp::StandardForm> sf_;
   std::vector<Index> int_cols_;
+  /// The cut loop's engine, left on the final root LP's basis; the worker
+  /// that pops the root takes it (under heap_mutex_), so that LP is not
+  /// solved a second time.  Still here after the search when no worker
+  /// popped the root.
+  std::unique_ptr<lp::SimplexEngine> root_engine_;
 
   // Shared open-node heap + idle/termination tracking.
   std::mutex heap_mutex_;
@@ -437,7 +443,7 @@ std::shared_ptr<const Fixings> Search::run_relaxation() {
 
 bool Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm,
                                 const Fixings* fixings) {
-  engine_.reset_bounds();
+  engine_->reset_bounds();
   // Collect root->leaf order; later changes on the same variable must win.
   std::vector<const NodeData*> chain;
   for (const NodeData* p = node; p != nullptr; p = p->parent.get()) {
@@ -446,15 +452,15 @@ bool Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm,
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const BoundChange& c = (*it)->change;
     if (c.var != lp::kInvalidIndex) {
-      engine_.set_column_bounds(c.var, c.lb, c.ub);
+      engine_->set_column_bounds(c.var, c.lb, c.ub);
     }
   }
   if (fixings != nullptr) {
     for (const BoundChange& f : *fixings) {
-      const double lb = std::max(engine_.column_lb(f.var), f.lb);
-      const double ub = std::min(engine_.column_ub(f.var), f.ub);
+      const double lb = std::max(engine_->column_lb(f.var), f.lb);
+      const double ub = std::min(engine_->column_ub(f.var), f.ub);
       if (lb > ub) return false;
-      engine_.set_column_bounds(f.var, lb, ub);
+      engine_->set_column_bounds(f.var, lb, ub);
     }
   }
   if (warm != nullptr) {
@@ -463,9 +469,9 @@ bool Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm,
     // and reduced costs do not depend on bounds), so the dual simplex
     // resumes as if this worker had just solved the parent.  load_basis
     // refreshes the basic solution itself.
-    engine_.load_basis(*warm);
+    engine_->load_basis(*warm);
   } else {
-    engine_.refresh_basic_solution();
+    engine_->refresh_basic_solution();
   }
   return true;
 }
@@ -527,17 +533,17 @@ SolveStatus Search::Worker::solve_node_lp() {
   if (remaining < kInf) {
     simplex.time_limit_seconds = std::max(0.0, remaining);
   }
-  const std::int64_t before = engine_.stats().iterations;
-  SolveStatus status = engine_.solve(simplex);
+  const std::int64_t before = engine_->stats().iterations;
+  SolveStatus status = engine_->solve(simplex);
   if (status == SolveStatus::kNumericalFailure ||
       status == SolveStatus::kIterationLimit) {
     // Cold restart once; the all-logical basis is always dual feasible.
     GMM_LOG(kWarn) << "mip: node LP " << to_string(status)
                    << ", retrying from a cold basis";
-    engine_.reset_to_logical_basis();
-    status = engine_.solve(simplex);
+    engine_->reset_to_logical_basis();
+    status = engine_->solve(simplex);
   }
-  lp_iterations_ += engine_.stats().iterations - before;
+  lp_iterations_ += engine_->stats().iterations - before;
   return status;
 }
 
@@ -573,11 +579,11 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
       s_.options_.progress->fetch_add(1, std::memory_order_relaxed);
     }
 
-    const std::int64_t pivots_before = engine_.stats().iterations;
+    const std::int64_t pivots_before = engine_->stats().iterations;
     const SolveStatus lp_status = solve_node_lp();
     if (at_popped_node) {
       at_popped_node = false;
-      const std::int64_t pivots = engine_.stats().iterations - pivots_before;
+      const std::int64_t pivots = engine_->stats().iterations - pivots_before;
       if (warm_start) {
         basis_stats_.warm_pop_pivots += pivots;
       } else {
@@ -597,7 +603,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     }
 
     const double node_bound =
-        engine_.objective_value() + s_.pre_.objective_offset;
+        engine_->objective_value() + s_.pre_.objective_offset;
 
     if (pending_var != lp::kInvalidIndex) {
       const double degradation =
@@ -615,7 +621,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
 
     if (s_.prunable(node_bound)) return;  // bound-pruned
 
-    const std::vector<double> x = engine_.structural_solution();
+    const std::vector<double> x = engine_->structural_solution();
     const Index branch_var = pick_branch_var(x);
     if (branch_var == lp::kInvalidIndex) {
       // Integral: candidate incumbent.
@@ -637,8 +643,8 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     const bool up_first = frac > 0.5;
 
     const BoundChange up{branch_var, floor_v + 1.0,
-                         engine_.column_ub(branch_var)};
-    const BoundChange down{branch_var, engine_.column_lb(branch_var),
+                         engine_->column_ub(branch_var)};
+    const BoundChange down{branch_var, engine_->column_lb(branch_var),
                            floor_v};
     const BoundChange& follow = up_first ? up : down;
     const BoundChange& defer = up_first ? down : up;
@@ -660,12 +666,12 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     std::shared_ptr<const lp::Basis> defer_basis;
     if (s_.options_.max_stored_bases > 0) {
       defer_basis =
-          std::make_shared<const lp::Basis>(engine_.snapshot_basis());
+          std::make_shared<const lp::Basis>(engine_->snapshot_basis());
     }
     s_.push_open(node_bound, std::move(defer_data), std::move(defer_basis));
 
-    engine_.set_column_bounds(branch_var, follow.lb, follow.ub);
-    engine_.refresh_basic_solution();
+    engine_->set_column_bounds(branch_var, follow.lb, follow.ub);
+    engine_->refresh_basic_solution();
 
     pending_var = branch_var;
     pending_up = up_first;
@@ -729,10 +735,25 @@ void Search::Worker::loop() {
     popped_any_ = true;
     ++s_.active_workers_;
     const std::shared_ptr<const Fixings> fixings = s_.fixings_;
+    // The root is the first node popped, so the worker taking the root
+    // engine has built none of its own yet.
+    std::unique_ptr<lp::SimplexEngine> root_engine;
+    if (top.data == nullptr) root_engine = std::move(s_.root_engine_);
     lock.unlock();
 
     const bool warm_start = warm != nullptr;
-    const bool open = apply_path(top.data.get(), warm.get(), fixings.get());
+    bool open = true;
+    if (root_engine != nullptr) {
+      // Already on the root LP's bounds and final basis: no path to
+      // apply, and the relaxation has not run yet, so no fixings either.
+      engine_ = std::move(root_engine);
+      engine_->refresh_basic_solution();
+    } else {
+      if (engine_ == nullptr) {
+        engine_ = std::make_unique<lp::SimplexEngine>(*s_.sf_);
+      }
+      open = apply_path(top.data.get(), warm.get(), fixings.get());
+    }
     warm.reset();  // the engine holds the state now; free the snapshot
     if (open) dive(std::move(top.data), warm_start);
 
@@ -801,62 +822,58 @@ MipResult Search::run() {
   }
 
   // ---- root cut loop -----------------------------------------------------
-  // Per round on the root LP: lifted cover separation, then rebuild the
-  // standard form and re-solve.  Each round pays a model rebuild + cold
-  // solve, which the bound improvement repays many times over on the
-  // mapping formulations.  Serial: the rounds mutate the model every
-  // worker will share.
-  std::int64_t root_refactorizations = 0;
-  {
-    auto root_engine = std::make_unique<lp::SimplexEngine>(*sf_);
-    for (int round = 0; round < options_.max_cut_rounds; ++round) {
-      if (limits_hit()) break;
-      if (options_.progress) {
-        options_.progress->fetch_add(1, std::memory_order_relaxed);
-      }
-      lp::SimplexOptions simplex = options_.simplex;
-      const double remaining = remaining_seconds();
-      if (remaining < kInf) {
-        simplex.time_limit_seconds = std::max(0.0, remaining);
-      }
-      const std::int64_t before = root_engine->stats().iterations;
-      const SolveStatus root_status = root_engine->solve(simplex);
-      result_.lp_iterations += root_engine->stats().iterations - before;
-      if (root_status != SolveStatus::kOptimal) break;
-      if (options_.relaxation_bound) {
-        // Duals of the original rows, for the relaxation to start from.
-        // Cut rows are appended after them, so row_map stays valid.
-        root_row_duals_.assign(pre_.row_map.size(), 0.0);
-        for (std::size_t i = 0; i < pre_.row_map.size(); ++i) {
-          const Index r = pre_.row_map[i];
-          if (r == lp::kInvalidIndex) continue;
-          root_row_duals_[i] =
-              -root_engine->reduced_cost(sf_->num_structural + r) *
-              sf_->row_scale[r];
-        }
-      }
-
-      // Lifted knapsack cover cuts.
-      const std::vector<CoverCut> cuts =
-          separate_cover_cuts(working_, root_engine->structural_solution());
-      if (cuts.empty()) break;
-      for (const CoverCut& cut : cuts) {
-        lp::LinExpr expr;
-        for (std::size_t k = 0; k < cut.vars.size(); ++k) {
-          expr.add(cut.vars[k], cut.coefs[k]);
-        }
-        working_.add_row(expr, -kInf, cut.rhs);
-      }
-      result_.cover_cuts += static_cast<std::int64_t>(cuts.size());
-
-      root_refactorizations += root_engine->stats().refactorizations;
-      result_.lp_work_units += root_engine->stats().work_units;
-      sf_ =
-          std::make_unique<lp::StandardForm>(lp::StandardForm::build(working_));
-      root_engine = std::make_unique<lp::SimplexEngine>(*sf_);
+  // Per round on the root LP: lifted cover separation, then the cuts join
+  // the model as rows and the engine takes the grown standard form with
+  // its basis extended (SimplexEngine::append_rows), so the next round's
+  // dual simplex resumes from this round's optimum and pays only for the
+  // violated cuts.  Only the first round solves from the all-logical
+  // basis.  Serial: the rounds mutate the model every worker will share.
+  // The engine then serves the tree's first pop (root_engine_).
+  root_engine_ = std::make_unique<lp::SimplexEngine>(*sf_);
+  for (int round = 0; round < options_.max_cut_rounds; ++round) {
+    if (limits_hit()) break;
+    if (options_.progress) {
+      options_.progress->fetch_add(1, std::memory_order_relaxed);
     }
-    root_refactorizations += root_engine->stats().refactorizations;
-    result_.lp_work_units += root_engine->stats().work_units;
+    lp::SimplexOptions simplex = options_.simplex;
+    const double remaining = remaining_seconds();
+    if (remaining < kInf) {
+      simplex.time_limit_seconds = std::max(0.0, remaining);
+    }
+    const std::int64_t before = root_engine_->stats().iterations;
+    const SolveStatus root_status = root_engine_->solve(simplex);
+    result_.lp_iterations += root_engine_->stats().iterations - before;
+    if (root_status != SolveStatus::kOptimal) break;
+    if (options_.relaxation_bound) {
+      // Duals of the original rows, for the relaxation to start from.
+      // Cut rows are appended after them, so row_map stays valid.
+      root_row_duals_.assign(pre_.row_map.size(), 0.0);
+      for (std::size_t i = 0; i < pre_.row_map.size(); ++i) {
+        const Index r = pre_.row_map[i];
+        if (r == lp::kInvalidIndex) continue;
+        root_row_duals_[i] =
+            -root_engine_->reduced_cost(sf_->num_structural + r) *
+            sf_->row_scale[r];
+      }
+    }
+
+    // Lifted knapsack cover cuts.
+    const std::vector<CoverCut> cuts =
+        separate_cover_cuts(working_, root_engine_->structural_solution());
+    if (cuts.empty()) break;
+    for (const CoverCut& cut : cuts) {
+      lp::LinExpr expr;
+      for (std::size_t k = 0; k < cut.vars.size(); ++k) {
+        expr.add(cut.vars[k], cut.coefs[k]);
+      }
+      working_.add_row(expr, -kInf, cut.rhs);
+    }
+    result_.cover_cuts += static_cast<std::int64_t>(cuts.size());
+
+    auto grown =
+        std::make_unique<lp::StandardForm>(lp::StandardForm::build(working_));
+    root_engine_->append_rows(*grown);
+    sf_ = std::move(grown);
   }
 
   // ---- root ------------------------------------------------------------
@@ -874,8 +891,8 @@ MipResult Search::run() {
     support::ThreadPool pool(static_cast<std::size_t>(options_.num_threads));
     for (std::size_t t = 0; t < workers.size(); ++t) {
       pool.submit([this, &workers, t] {
-        // Engine construction is O(m^2) per worker; build it inside the
-        // task so the setup cost itself is parallel.
+        // Each worker builds its O(m^2) engine at its first pop, on its
+        // own thread, so the setup cost itself is parallel.
         workers[t] = std::make_unique<Worker>(*this);
         workers[t]->loop();
       });
@@ -884,12 +901,17 @@ MipResult Search::run() {
   }
 
   // ---- wrap up -----------------------------------------------------------
-  result_.simplex_refactorizations = root_refactorizations;
+  // Every engine's counts, the root engine's through the worker that took
+  // it over (or directly, when none popped the root).
+  const auto add_engine = [this](const lp::SimplexStats& stats) {
+    result_.simplex_refactorizations += stats.refactorizations;
+    result_.lp_work_units += stats.work_units;
+  };
+  if (root_engine_ != nullptr) add_engine(root_engine_->stats());
   result_.basis = basis_stats_;  // stored/evicted (heap side)
   for (const auto& worker : workers) {
     result_.lp_iterations += worker->lp_iterations();
-    result_.simplex_refactorizations += worker->refactorizations();
-    result_.lp_work_units += worker->work_units();
+    add_engine(worker->engine_stats());
     result_.basis += worker->basis_stats();  // loaded/cold/pivot split
   }
   result_.nodes = nodes_.load(std::memory_order_relaxed);

@@ -7,8 +7,8 @@
 
 namespace gmm::lp {
 
-Index Model::add_variable(double lb, double ub, double obj_coef, VarType type,
-                          std::string name) {
+Index Model::add_variable(double lb, double ub, double obj_coef,
+                          VarType type) {
   GMM_ASSERT(!(lb > ub), "variable with lb > ub");
   if (type == VarType::kBinary) {
     lb = std::max(lb, 0.0);
@@ -18,12 +18,10 @@ Index Model::add_variable(double lb, double ub, double obj_coef, VarType type,
   var_ub_.push_back(ub);
   obj_.push_back(obj_coef);
   type_.push_back(type);
-  var_names_.push_back(std::move(name));
   return static_cast<Index>(var_lb_.size()) - 1;
 }
 
-Index Model::add_row(const LinExpr& expr, double lb, double ub,
-                     std::string name) {
+Index Model::add_row(const LinExpr& expr, double lb, double ub) {
   GMM_ASSERT(!(lb > ub), "row with lb > ub");
   if (row_start_.empty()) row_start_.push_back(0);
 
@@ -48,20 +46,18 @@ Index Model::add_row(const LinExpr& expr, double lb, double ub,
   (void)begin;
   row_lb_.push_back(lb);
   row_ub_.push_back(ub);
-  row_names_.push_back(std::move(name));
   row_start_.push_back(coef_.size());
   return static_cast<Index>(row_lb_.size()) - 1;
 }
 
-Index Model::add_constraint(const LinExpr& expr, Sense sense, double rhs,
-                            std::string name) {
+Index Model::add_constraint(const LinExpr& expr, Sense sense, double rhs) {
   switch (sense) {
     case Sense::kLessEqual:
-      return add_row(expr, -kInf, rhs, std::move(name));
+      return add_row(expr, -kInf, rhs);
     case Sense::kGreaterEqual:
-      return add_row(expr, rhs, kInf, std::move(name));
+      return add_row(expr, rhs, kInf);
     case Sense::kEqual:
-      return add_row(expr, rhs, rhs, std::move(name));
+      return add_row(expr, rhs, rhs);
   }
   GMM_ASSERT(false, "bad sense");
   return kInvalidIndex;

@@ -7,7 +7,6 @@
 // always MINIMIZED; callers maximizing negate their costs.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "lp/expr.hpp"
@@ -19,23 +18,19 @@ class Model {
  public:
   /// Add a variable; returns its index.  Bounds may be +-kInf.
   Index add_variable(double lb, double ub, double obj_coef,
-                     VarType type = VarType::kContinuous,
-                     std::string name = {});
+                     VarType type = VarType::kContinuous);
 
   /// Convenience: binary 0/1 variable.
-  Index add_binary(double obj_coef, std::string name = {}) {
-    return add_variable(0.0, 1.0, obj_coef, VarType::kBinary,
-                        std::move(name));
+  Index add_binary(double obj_coef) {
+    return add_variable(0.0, 1.0, obj_coef, VarType::kBinary);
   }
 
   /// Add a ranged row  lb <= expr <= ub; returns the row index.
   /// Duplicate terms in `expr` are merged; zero coefficients are dropped.
-  Index add_row(const LinExpr& expr, double lb, double ub,
-                std::string name = {});
+  Index add_row(const LinExpr& expr, double lb, double ub);
 
   /// Add a row with a single-sided or equality sense.
-  Index add_constraint(const LinExpr& expr, Sense sense, double rhs,
-                       std::string name = {});
+  Index add_constraint(const LinExpr& expr, Sense sense, double rhs);
 
   [[nodiscard]] Index num_vars() const {
     return static_cast<Index>(var_lb_.size());
@@ -49,14 +44,8 @@ class Model {
   [[nodiscard]] double var_ub(Index j) const { return var_ub_[j]; }
   [[nodiscard]] double obj(Index j) const { return obj_[j]; }
   [[nodiscard]] VarType var_type(Index j) const { return type_[j]; }
-  [[nodiscard]] const std::string& var_name(Index j) const {
-    return var_names_[j];
-  }
   [[nodiscard]] double row_lb(Index i) const { return row_lb_[i]; }
   [[nodiscard]] double row_ub(Index i) const { return row_ub_[i]; }
-  [[nodiscard]] const std::string& row_name(Index i) const {
-    return row_names_[i];
-  }
 
   void set_var_bounds(Index j, double lb, double ub);
   void set_obj(Index j, double coef) { obj_[j] = coef; }
@@ -88,10 +77,8 @@ class Model {
   // Variables.
   std::vector<double> var_lb_, var_ub_, obj_;
   std::vector<VarType> type_;
-  std::vector<std::string> var_names_;
   // Rows in CSR-like storage.
   std::vector<double> row_lb_, row_ub_;
-  std::vector<std::string> row_names_;
   std::vector<std::size_t> row_start_;  // size num_rows + 1
   std::vector<Index> col_index_;
   std::vector<double> coef_;

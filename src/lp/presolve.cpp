@@ -163,7 +163,7 @@ PresolveResult presolve(const Model& model) {
       result.objective_offset += model.obj(j) * lb[j];
     } else {
       result.var_map[j] = result.reduced.add_variable(
-          lb[j], ub[j], model.obj(j), model.var_type(j), model.var_name(j));
+          lb[j], ub[j], model.obj(j), model.var_type(j));
     }
   }
   result.row_map.assign(m, kInvalidIndex);

@@ -73,9 +73,9 @@ VStat normalize_loaded_status(VStat status, double lb, double ub) {
 }  // namespace
 
 SimplexEngine::SimplexEngine(const StandardForm& sf)
-    : sf_(sf), m_(sf.num_rows), n_(sf.num_cols()) {
-  lb_ = sf_.lb;
-  ub_ = sf_.ub;
+    : sf_(&sf), m_(sf.num_rows), n_(sf.num_cols()) {
+  lb_ = sf_->lb;
+  ub_ = sf_->ub;
   basis_.resize(m_);
   stat_.resize(n_);
   binv_.resize(static_cast<std::size_t>(m_) * m_);
@@ -111,10 +111,10 @@ void SimplexEngine::set_column_bounds(Index j, double lb, double ub) {
 void SimplexEngine::reset_bounds() {
   for (Index j = 0; j < n_; ++j) {
     if (stat_[j] == VStat::kBasic) {
-      lb_[j] = sf_.lb[j];
-      ub_[j] = sf_.ub[j];
+      lb_[j] = sf_->lb[j];
+      ub_[j] = sf_->ub[j];
     } else {
-      set_column_bounds(j, sf_.lb[j], sf_.ub[j]);
+      set_column_bounds(j, sf_->lb[j], sf_->ub[j]);
     }
   }
 }
@@ -136,20 +136,20 @@ double SimplexEngine::nonbasic_value(Index j) const {
 }
 
 void SimplexEngine::reset_to_logical_basis() {
-  for (Index i = 0; i < m_; ++i) basis_[i] = sf_.num_structural + i;
+  for (Index i = 0; i < m_; ++i) basis_[i] = sf_->num_structural + i;
   for (Index j = 0; j < n_; ++j) {
-    if (sf_.is_logical(j)) {
+    if (sf_->is_logical(j)) {
       stat_[j] = VStat::kBasic;
       continue;
     }
     if (lb_[j] == ub_[j]) {
       stat_[j] = VStat::kFixed;
-    } else if (sf_.cost[j] > kDualTol) {
+    } else if (sf_->cost[j] > kDualTol) {
       GMM_ASSERT(lb_[j] > -kInf,
                  "dual simplex start requires a finite lower bound on every "
                  "positive-cost variable");
       stat_[j] = VStat::kAtLower;
-    } else if (sf_.cost[j] < -kDualTol) {
+    } else if (sf_->cost[j] < -kDualTol) {
       GMM_ASSERT(ub_[j] < kInf,
                  "dual simplex start requires a finite upper bound on every "
                  "negative-cost variable");
@@ -295,10 +295,10 @@ bool SimplexEngine::replace_basis_columns(
     leaving_[r] = 0;
     ++pivots_since_refactor_;
     const std::int64_t nnz =
-        sf_.is_logical(q)
+        sf_->is_logical(q)
             ? 1
-            : static_cast<std::int64_t>(sf_.col_start[q + 1] -
-                                        sf_.col_start[q]);
+            : static_cast<std::int64_t>(sf_->col_start[q + 1] -
+                                        sf_->col_start[q]);
     stats_.work_units += static_cast<std::int64_t>(m_) * (nnz + m_);
   }
   // Same basic set; now put each column in its snapshot row, so the
@@ -323,6 +323,71 @@ bool SimplexEngine::replace_basis_columns(
 
 Basis SimplexEngine::snapshot_basis() const { return Basis{basis_, stat_}; }
 
+void SimplexEngine::append_rows(const StandardForm& grown) {
+  const Index ns = sf_->num_structural;
+  GMM_ASSERT(grown.num_structural == ns && grown.num_rows >= m_,
+             "append_rows needs the same structural columns and no fewer "
+             "rows");
+  const Index m_old = m_;
+  const Index m = grown.num_rows;
+  sf_ = &grown;
+  m_ = m;
+  n_ = grown.num_cols();
+  // Every column keeps its index (logicals follow the structurals, so the
+  // new rows' logicals come last), and each new logical is basic in its
+  // own row with reduced cost 0.
+  for (Index i = m_old; i < m; ++i) {
+    lb_.push_back(grown.lb[ns + i]);
+    ub_.push_back(grown.ub[ns + i]);
+    stat_.push_back(VStat::kBasic);
+    d_.push_back(0.0);
+    basis_.push_back(ns + i);
+  }
+  alpha_.resize(n_);
+  w_.resize(m_);
+  rhs_.resize(m_);
+  xb_.resize(m_);  // new rows start at 0 and accumulate -(a_r . x) below
+
+  // B^{-1} of [B 0; C I] is [B^{-1} 0; -C B^{-1} I]: copy the old rows,
+  // then subtract c_ri times old row i from new row r for every basic
+  // structural column with an entry c_ri in a new row.
+  const std::size_t stride = static_cast<std::size_t>(m);
+  work_b_.assign(stride * stride, 0.0);
+  for (Index i = 0; i < m_old; ++i) {
+    const double* from = binv_.data() + static_cast<std::size_t>(i) * m_old;
+    std::copy(from, from + m_old,
+              work_b_.data() + static_cast<std::size_t>(i) * stride);
+  }
+  for (Index i = m_old; i < m; ++i) {
+    work_b_[static_cast<std::size_t>(i) * stride + i] = 1.0;
+  }
+  for (Index i = 0; i < m_old; ++i) {
+    const Index j = basis_[i];
+    if (grown.is_logical(j)) continue;  // old logicals have no new entries
+    const double* from = binv_.data() + static_cast<std::size_t>(i) * m_old;
+    for (std::size_t k = grown.col_start[j]; k < grown.col_start[j + 1]; ++k) {
+      const Index r = grown.row_index[k];
+      if (r < m_old) continue;
+      const double c = grown.value[k];
+      double* to = work_b_.data() + static_cast<std::size_t>(r) * stride;
+      for (Index t = 0; t < m_old; ++t) to[t] -= c * from[t];
+      xb_[r] -= c * xb_[i];
+      stats_.work_units += m_old;
+    }
+  }
+  binv_.swap(work_b_);
+  // The nonbasic structurals' share of the new rows' activities.
+  for (Index j = 0; j < ns; ++j) {
+    if (stat_[j] == VStat::kBasic) continue;
+    const double v = nonbasic_value(j);
+    if (v == 0.0) continue;
+    for (std::size_t k = grown.col_start[j]; k < grown.col_start[j + 1]; ++k) {
+      const Index r = grown.row_index[k];
+      if (r >= m_old) xb_[r] -= grown.value[k] * v;
+    }
+  }
+}
+
 void SimplexEngine::refresh_basic_solution() {
   if (xb_stale_) recompute_basic_solution();
 }
@@ -335,11 +400,11 @@ void SimplexEngine::recompute_basic_solution() {
     if (!is_nonbasic(stat_[j])) continue;
     const double v = nonbasic_value(j);
     if (v == 0.0) continue;
-    if (sf_.is_logical(j)) {
-      rhs_[sf_.logical_row(j)] += v;
+    if (sf_->is_logical(j)) {
+      rhs_[sf_->logical_row(j)] += v;
     } else {
-      for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
-        rhs_[sf_.row_index[k]] += sf_.value[k] * v;
+      for (std::size_t k = sf_->col_start[j]; k < sf_->col_start[j + 1]; ++k) {
+        rhs_[sf_->row_index[k]] += sf_->value[k] * v;
       }
     }
   }
@@ -354,16 +419,16 @@ void SimplexEngine::recompute_basic_solution() {
 
 void SimplexEngine::ftran(Index j, std::vector<double>& w) const {
   std::fill(w.begin(), w.end(), 0.0);
-  if (sf_.is_logical(j)) {
-    const Index r = sf_.logical_row(j);
+  if (sf_->is_logical(j)) {
+    const Index r = sf_->logical_row(j);
     for (Index i = 0; i < m_; ++i) {
       w[i] = binv_[static_cast<std::size_t>(i) * m_ + r];
     }
     return;
   }
-  for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
-    const Index row = sf_.row_index[k];
-    const double v = sf_.value[k];
+  for (std::size_t k = sf_->col_start[j]; k < sf_->col_start[j + 1]; ++k) {
+    const Index row = sf_->row_index[k];
+    const double v = sf_->value[k];
     for (Index i = 0; i < m_; ++i) {
       w[i] += v * binv_[static_cast<std::size_t>(i) * m_ + row];
     }
@@ -371,10 +436,10 @@ void SimplexEngine::ftran(Index j, std::vector<double>& w) const {
 }
 
 double SimplexEngine::column_dot(const double* rho, Index j) const {
-  if (sf_.is_logical(j)) return rho[sf_.logical_row(j)];
+  if (sf_->is_logical(j)) return rho[sf_->logical_row(j)];
   double acc = 0.0;
-  for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
-    acc += rho[sf_.row_index[k]] * sf_.value[k];
+  for (std::size_t k = sf_->col_start[j]; k < sf_->col_start[j + 1]; ++k) {
+    acc += rho[sf_->row_index[k]] * sf_->value[k];
   }
   return acc;
 }
@@ -393,7 +458,7 @@ bool SimplexEngine::refactorize() {
   Index sabotaged_col = -1;
   if (GMM_FAULT("lu.refactor", "singular")) {
     for (Index c = 0; c < m_; ++c) {
-      if (!sf_.is_logical(basis_[c])) {
+      if (!sf_->is_logical(basis_[c])) {
         sabotaged_col = c;
         break;
       }
@@ -404,12 +469,12 @@ bool SimplexEngine::refactorize() {
   // Assemble B column-by-column into a dense row-major matrix.
   for (Index col = 0; col < m_; ++col) {
     const Index j = basis_[col];
-    if (sf_.is_logical(j)) {
-      work_b_[static_cast<std::size_t>(sf_.logical_row(j)) * m_ + col] = 1.0;
+    if (sf_->is_logical(j)) {
+      work_b_[static_cast<std::size_t>(sf_->logical_row(j)) * m_ + col] = 1.0;
     } else {
-      for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
-        work_b_[static_cast<std::size_t>(sf_.row_index[k]) * m_ + col] =
-            sf_.value[k];
+      for (std::size_t k = sf_->col_start[j]; k < sf_->col_start[j + 1]; ++k) {
+        work_b_[static_cast<std::size_t>(sf_->row_index[k]) * m_ + col] =
+            sf_->value[k];
       }
     }
   }
@@ -451,7 +516,7 @@ bool SimplexEngine::refactorize() {
         const Index evicted = basis_[col];
         Index replacement = kInvalidIndex;
         for (Index p = col; p < m_ && replacement == kInvalidIndex; ++p) {
-          const Index logical = sf_.num_structural + row_origin[p];
+          const Index logical = sf_->num_structural + row_origin[p];
           if (logical == evicted) continue;
           bool already = false;
           for (Index c = 0; c < m_; ++c) {
@@ -474,14 +539,14 @@ bool SimplexEngine::refactorize() {
         std::fill(work_b_.begin(), work_b_.end(), 0.0);
         for (Index c = 0; c < m_; ++c) {
           const Index jj = basis_[c];
-          if (sf_.is_logical(jj)) {
-            work_b_[static_cast<std::size_t>(sf_.logical_row(jj)) * m_ + c] =
+          if (sf_->is_logical(jj)) {
+            work_b_[static_cast<std::size_t>(sf_->logical_row(jj)) * m_ + c] =
                 1.0;
           } else {
-            for (std::size_t k = sf_.col_start[jj]; k < sf_.col_start[jj + 1];
+            for (std::size_t k = sf_->col_start[jj]; k < sf_->col_start[jj + 1];
                  ++k) {
-              work_b_[static_cast<std::size_t>(sf_.row_index[k]) * m_ + c] =
-                  sf_.value[k];
+              work_b_[static_cast<std::size_t>(sf_->row_index[k]) * m_ + c] =
+                  sf_->value[k];
             }
           }
         }
@@ -544,7 +609,7 @@ void SimplexEngine::compute_duals() {
   // nonzero cost; then d_j = c_j - y . A_j.
   std::vector<double> y(m_, 0.0);
   for (Index i = 0; i < m_; ++i) {
-    const double cb = sf_.cost[basis_[i]];
+    const double cb = sf_->cost[basis_[i]];
     if (cb == 0.0) continue;
     const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
     for (Index k = 0; k < m_; ++k) y[k] += cb * row[k];
@@ -553,7 +618,7 @@ void SimplexEngine::compute_duals() {
     if (stat_[j] == VStat::kBasic) {
       d_[j] = 0.0;
     } else {
-      d_[j] = sf_.cost[j] - column_dot(y.data(), j);
+      d_[j] = sf_->cost[j] - column_dot(y.data(), j);
     }
   }
 }
@@ -740,7 +805,7 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
   // Work accounting: the pivot row touched every structural nonzero plus
   // the logicals, and the FTRAN + explicit-inverse + x_B updates each
   // swept dense length-m rows.
-  stats_.work_units += static_cast<std::int64_t>(sf_.value.size()) + m_ +
+  stats_.work_units += static_cast<std::int64_t>(sf_->value.size()) + m_ +
                        2 * static_cast<std::int64_t>(m_) * m_;
   return PivotResult::kPivoted;
 }
@@ -781,10 +846,10 @@ SolveStatus SimplexEngine::solve(const SimplexOptions& options) {
 
 double SimplexEngine::objective_value() const {
   double obj = 0.0;
-  for (Index i = 0; i < m_; ++i) obj += sf_.cost[basis_[i]] * xb_[i];
+  for (Index i = 0; i < m_; ++i) obj += sf_->cost[basis_[i]] * xb_[i];
   for (Index j = 0; j < n_; ++j) {
-    if (is_nonbasic(stat_[j]) && sf_.cost[j] != 0.0) {
-      obj += sf_.cost[j] * nonbasic_value(j);
+    if (is_nonbasic(stat_[j]) && sf_->cost[j] != 0.0) {
+      obj += sf_->cost[j] * nonbasic_value(j);
     }
   }
   return obj;
@@ -801,12 +866,12 @@ double SimplexEngine::column_value(Index j) const {
 }
 
 std::vector<double> SimplexEngine::structural_solution() const {
-  std::vector<double> x(sf_.num_structural);
-  for (Index j = 0; j < sf_.num_structural; ++j) {
+  std::vector<double> x(sf_->num_structural);
+  for (Index j = 0; j < sf_->num_structural; ++j) {
     x[j] = stat_[j] == VStat::kBasic ? 0.0 : nonbasic_value(j);
   }
   for (Index i = 0; i < m_; ++i) {
-    if (basis_[i] < sf_.num_structural) x[basis_[i]] = xb_[i];
+    if (basis_[i] < sf_->num_structural) x[basis_[i]] = xb_[i];
   }
   return x;
 }

@@ -3,14 +3,19 @@
 // (lp/solver.hpp), the root cut loop and every branch-and-bound worker.
 //
 // The engine implements the DUAL simplex as its workhorse.  Rationale: in
-// this project every LP is either (a) a fresh relaxation whose variables
-// all carry a finite bound on the side their cost prefers — so the
-// all-logical basis with cost-sign-chosen nonbasic bounds is dual feasible
-// by construction — or (b) a branch-and-bound child, where only variable
-// BOUNDS changed relative to an optimal parent basis; since reduced costs
-// do not depend on bounds, the parent basis stays dual feasible and a few
-// dual pivots restore primal feasibility.  A primal phase-1 is therefore
-// never needed on this project's models.
+// this project every LP enters one of three ways.  (a) A fresh relaxation
+// whose variables all carry a finite bound on the side their cost prefers
+// — so the all-logical basis with cost-sign-chosen nonbasic bounds is
+// dual feasible by construction.  (b) A branch-and-bound child, where only
+// variable BOUNDS changed relative to an optimal parent basis; since
+// reduced costs do not depend on bounds, the parent basis stays dual
+// feasible and a few dual pivots restore primal feasibility.  (c) A root
+// cut round, where ROWS were appended to the form the engine last solved
+// (append_rows): the cut rows' logicals join the basis, which leaves every
+// dual and reduced cost as it was, so the optimum of the previous round
+// is a dual feasible start and the violated cuts leave in a few dual
+// pivots.  A primal phase-1 is therefore never needed on this project's
+// models.
 //
 // Numerical strategy: dense explicit B^{-1} (row-major) with product-form
 // row updates per pivot, periodic Gauss-Jordan refactorization with
@@ -33,11 +38,18 @@
 // basic column, which is every branching change of a dive, leaves it as
 // it is.
 //
+// Appending k rows extends the inverse in place: with C the new rows'
+// coefficients on the basic columns, the grown basis is [B 0; C I], whose
+// inverse is [B^-1 0; -C B^-1 I], so the old rows of B^-1 are copied and
+// each new row costs one sparse combination of old ones.  No
+// refactorization, and the refactor_interval cadence carries on.
+//
 // Complexity per pivot: O(m^2) for the inverse/x_B row updates plus
 // O(nnz(A)) for the pivot row — for the largest complete-formulation model
 // in this project (m ~ 2.5e3, nnz ~ 2e5) a few milliseconds.  A snapshot
 // load costs O(k (m^2 + m nnz(a_q))) for k changed columns, against
-// O(m^3) for a refactorization.
+// O(m^3) for a refactorization; appending k rows costs O((m + k)^2 +
+// m nnz(C)).
 //
 // Runs stay bitwise repeatable, but the inverse a load leaves behind
 // differs in rounding from a fresh factorization, so branch-and-bound
@@ -77,7 +89,8 @@ struct SimplexStats {
 
 class SimplexEngine {
  public:
-  /// The engine keeps a reference to `sf`; it must outlive the engine.
+  /// The engine keeps a reference to `sf`; it must outlive the engine (or
+  /// the next append_rows call).
   explicit SimplexEngine(const StandardForm& sf);
 
   // ---- bounds (branch & bound interface) ----------------------------
@@ -105,6 +118,14 @@ class SimplexEngine {
   /// basis is reached by column replacement (see the file comment).
   void load_basis(const Basis& basis);
   [[nodiscard]] Basis snapshot_basis() const;
+  /// Switch to `grown`, the form this engine holds with rows appended
+  /// (same structural columns, the existing rows unchanged), keeping the
+  /// current basis: each new row's logical becomes basic in that row and
+  /// takes the row's activity, and B^{-1} is extended in place (see the
+  /// file comment).  Duals, reduced costs and nonbasic statuses stand, so
+  /// solve() resumes dual feasible from where the engine was.  The engine
+  /// references `grown` from here on; the old form may be released.
+  void append_rows(const StandardForm& grown);
 
   /// Bring x_B up to date with the current bounds + basis.  A no-op when
   /// no nonbasic value changed since x_B was last computed.
@@ -125,6 +146,11 @@ class SimplexEngine {
   [[nodiscard]] double reduced_cost(Index j) const { return d_[j]; }
   [[nodiscard]] VStat column_status(Index j) const { return stat_[j]; }
   [[nodiscard]] const SimplexStats& stats() const { return stats_; }
+  /// The explicit B^{-1}, m x m row-major; row i belongs to the column
+  /// basic in row i (snapshot_basis().basic_in_row[i]).
+  [[nodiscard]] const std::vector<double>& basis_inverse() const {
+    return binv_;
+  }
 
  private:
   // Dense pivot-row / FTRAN helpers.
@@ -159,8 +185,8 @@ class SimplexEngine {
   enum class PivotResult { kOptimal, kPivoted, kInfeasible, kNumerical };
   PivotResult dual_pivot();
 
-  const StandardForm& sf_;
-  Index m_, n_;  // rows, total columns
+  const StandardForm* sf_;  // never null; append_rows moves it
+  Index m_, n_;             // rows, total columns
 
   std::vector<double> lb_, ub_;  // working bounds (B&B overrides)
   std::vector<Index> basis_;     // basic column per row

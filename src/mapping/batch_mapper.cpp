@@ -1,38 +1,21 @@
 #include "mapping/batch_mapper.hpp"
 
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace gmm::mapping {
 
-BatchResult map_batch(support::ThreadPool& pool,
-                      const std::vector<BatchItem>& items,
-                      const PipelineOptions& options) {
-  support::WallTimer timer;
-  BatchResult batch;
-  batch.results.resize(items.size());
+std::vector<PipelineResult> map_batch(support::ThreadPool& pool,
+                                      const std::vector<BatchItem>& items,
+                                      const PipelineOptions& options) {
+  std::vector<PipelineResult> results(items.size());
   support::parallel_for(pool, items.size(), [&](std::size_t i) {
     const BatchItem& item = items[i];
     GMM_ASSERT(item.design != nullptr && item.board != nullptr,
                "map_batch item with null design or board");
-    batch.results[i] = map_pipeline(*item.design, *item.board,
-                                    item.options ? *item.options : options);
+    results[i] = map_pipeline(*item.design, *item.board,
+                              item.options ? *item.options : options);
   });
-  for (const PipelineResult& r : batch.results) {
-    if (r.status == lp::SolveStatus::kOptimal ||
-        r.status == lp::SolveStatus::kFeasible) {
-      ++batch.succeeded;
-    }
-  }
-  batch.seconds = timer.seconds();
-  return batch;
-}
-
-BatchResult map_batch(const std::vector<BatchItem>& items,
-                      const PipelineOptions& options,
-                      std::size_t num_workers) {
-  support::ThreadPool pool(num_workers);
-  return map_batch(pool, items, options);
+  return results;
 }
 
 }  // namespace gmm::mapping

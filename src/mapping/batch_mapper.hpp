@@ -8,13 +8,8 @@
 // independent, so results are deterministic per item regardless of
 // worker interleaving (when the per-item solver itself runs with
 // num_threads == 1).
-//
-// Two entry points: one borrowing a caller-owned pool (so a caller can
-// share a single pool between batches) and an owning convenience that
-// spins one up for the call.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "arch/board.hpp"
@@ -36,25 +31,10 @@ struct BatchItem {
   const PipelineOptions* options = nullptr;
 };
 
-struct BatchResult {
-  std::vector<PipelineResult> results;  // parallel to the input items
-  double seconds = 0.0;                 // wall clock for the whole batch
-  std::size_t succeeded = 0;  // items that reached optimal/feasible
-
-  [[nodiscard]] bool all_succeeded() const {
-    return succeeded == results.size();
-  }
-};
-
-/// Map every item over `pool`, blocking until the batch completes.
-BatchResult map_batch(support::ThreadPool& pool,
-                      const std::vector<BatchItem>& items,
-                      const PipelineOptions& options = {});
-
-/// Convenience: create a pool of `num_workers` (0 = hardware concurrency)
-/// for the duration of the call.
-BatchResult map_batch(const std::vector<BatchItem>& items,
-                      const PipelineOptions& options = {},
-                      std::size_t num_workers = 0);
+/// Map every item over `pool`, blocking until the batch completes; the
+/// results are parallel to the items.
+std::vector<PipelineResult> map_batch(support::ThreadPool& pool,
+                                      const std::vector<BatchItem>& items,
+                                      const PipelineOptions& options = {});
 
 }  // namespace gmm::mapping

@@ -43,9 +43,7 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
           static_cast<std::size_t>(options.warm_assignment[d]) != t) {
         coef += options.migration_penalty;
       }
-      z[d][t] = model.add_binary(coef,
-                                 "z." + std::to_string(d) + "." +
-                                     std::to_string(t));
+      z[d][t] = model.add_binary(coef);
       any = true;
     }
     if (!any) {
@@ -62,8 +60,8 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
     for (std::size_t t = 0; t < num_types; ++t) {
       if (z[d][t] != lp::kInvalidIndex) expr.add(z[d][t], 1.0);
     }
-    global.uniqueness_rows[d] = model.add_constraint(
-        expr, lp::Sense::kEqual, 1.0, "uniq." + std::to_string(d));
+    global.uniqueness_rows[d] =
+        model.add_constraint(expr, lp::Sense::kEqual, 1.0);
   }
 
   // ---- ports and capacity (conflict-clique aware) -----------------------
@@ -95,12 +93,8 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
         area.add(z[d][t], static_cast<double>(plan.cw * plan.cd));
       }
       if (!ports.empty()) {
-        model.add_constraint(ports, lp::Sense::kLessEqual, total_ports,
-                             "ports." + std::to_string(t) + "." +
-                                 std::to_string(q));
-        model.add_constraint(area, lp::Sense::kLessEqual, capacity,
-                             "cap." + std::to_string(t) + "." +
-                                 std::to_string(q));
+        model.add_constraint(ports, lp::Sense::kLessEqual, total_ports);
+        model.add_constraint(area, lp::Sense::kLessEqual, capacity);
       }
     }
   }

@@ -427,16 +427,17 @@ ShardResult map_sharded(support::ThreadPool& pool,
         items.push_back(item);
       }
     }
-    BatchResult batch = map_batch(pool, items, options.pipeline);
+    std::vector<PipelineResult> batch =
+        map_batch(pool, items, options.pipeline);
     out.stats.candidate_solves += static_cast<std::int64_t>(items.size());
     for (std::size_t i = 0; i < uncached.size(); ++i) {
       const Candidate& cand = candidates[uncached[i]];
-      out.total_effort += batch.results[i].effort;
-      if (batch.results[i].mip.mip_start_used) ++out.stats.warm_started;
+      out.total_effort += batch[i].effort;
+      if (batch[i].mip.mip_start_used) ++out.stats.warm_started;
       // std::map nodes are stable, so the pointer survives later inserts.
       results[uncached[i]] =
           &(candidate_cache[candidate_key(members[cand.part], cand.dev)] =
-                std::move(batch.results[i]));
+                std::move(batch[i]));
     }
     // Refresh the per-(part, device) prior assignments for the next round.
     for (std::size_t c = 0; c < candidates.size(); ++c) {
@@ -483,10 +484,8 @@ ShardResult map_sharded(support::ThreadPool& pool,
           options.transfer_weight *
           static_cast<double>(cut_traffic[cand.part]) *
           static_cast<double>(device_pins[cand.dev]);
-      var_of[c] = stitch.add_binary(
-          results[c]->assignment.objective + transfer,
-          "y_p" + std::to_string(cand.part) + "_d" +
-              std::to_string(cand.dev));
+      var_of[c] =
+          stitch.add_binary(results[c]->assignment.objective + transfer);
     }
     for (std::size_t p = 0; p < parts; ++p) {
       if (members[p].empty()) continue;
@@ -494,8 +493,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
       for (const std::size_t c : of_part[p]) {
         if (var_of[c] >= 0) row.add(var_of[c], 1.0);
       }
-      stitch.add_constraint(row, lp::Sense::kEqual, 1.0,
-                            "part" + std::to_string(p));
+      stitch.add_constraint(row, lp::Sense::kEqual, 1.0);
     }
     for (std::size_t u = 0; u < parts; ++u) {
       lp::LinExpr row;
@@ -505,8 +503,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
         }
       }
       if (!row.empty()) {
-        stitch.add_constraint(row, lp::Sense::kLessEqual, 1.0,
-                              "dev" + std::to_string(u));
+        stitch.add_constraint(row, lp::Sense::kLessEqual, 1.0);
       }
     }
     ilp::MipOptions stitch_options;

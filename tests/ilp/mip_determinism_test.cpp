@@ -100,17 +100,13 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreadsAndCacheModes) {
   }
 }
 
-// Every Table-3 experiment point that solves at test-tier speed
+// All nine Table-3 experiment points, each at test-tier speed
 // (milliseconds to ~300 ms per thread count).  Index 5 — the paper's
-// point 6, 62 segments on the 65-bank board — is excluded: its LP
-// relaxation sits a few units below the integer optimum over a deeply
-// symmetric space: at the default gap it runs into bench_03's 30 s cap,
-// and at gap 0 it does not prove within 120 s (5.6M nodes).  It was
-// also the paper's slowest global instance relative to size.  It stays
-// out of the unit tier: bench_03 sweeps all nine points, and bench_09
-// records a 120 s gap-0 solve of point 6.
+// point 6, 62 segments on the 65-bank board — is among them only because
+// the global mapper's Lagrangian knapsack bound proves it in under 100
+// nodes; the tree search alone does not prove it at gap 0 within 120 s.
 INSTANTIATE_TEST_SUITE_P(TractablePoints, Table3Determinism,
-                         ::testing::Values(0, 1, 2, 3, 4, 6, 7, 8));
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8));
 
 TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
   // Where full determinism IS promised — 1 thread — two runs must agree

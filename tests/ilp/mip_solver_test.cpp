@@ -344,5 +344,52 @@ TEST(MipSolver, PresolveOnOffAgree) {
   EXPECT_NEAR(a.objective, b.objective, 1e-6);
 }
 
+/// A 6 x 6 assignment problem with generic costs: its LP relaxation is
+/// integral, so the search closes at the root node.
+Model assignment_model() {
+  constexpr int kN = 6;
+  support::Rng rng(8675309);
+  Model m;
+  std::vector<std::vector<Index>> x(kN, std::vector<Index>(kN));
+  for (int i = 0; i < kN; ++i) {
+    for (int j = 0; j < kN; ++j) {
+      x[i][j] = m.add_binary(static_cast<double>(rng.uniform_int(1, 97)));
+    }
+  }
+  for (int i = 0; i < kN; ++i) {
+    LinExpr row, col;
+    for (int j = 0; j < kN; ++j) {
+      row.add(x[i][j], 1.0);
+      col.add(x[j][i], 1.0);
+    }
+    m.add_constraint(row, Sense::kEqual, 1.0);
+    m.add_constraint(col, Sense::kEqual, 1.0);
+  }
+  return m;
+}
+
+TEST(MipSolver, RootClosedAtTheCutLoopPaysNoPivotAtTheFirstPop) {
+  // The tree's first pop takes over the cut loop's engine, which already
+  // sits at the root LP's optimum: the root is solved once, by the loop.
+  const MipResult r = solve_mip(assignment_model());
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.nodes, 1);
+  EXPECT_GT(r.lp_iterations, 0);
+  EXPECT_EQ(r.basis.cold_pops, 1);
+  EXPECT_EQ(r.basis.cold_pop_pivots, 0);
+  EXPECT_EQ(r.basis.warm_pop_pivots, 0);
+}
+
+TEST(MipSolver, WithoutCutRoundsTheFirstPopSolvesTheRoot) {
+  MipOptions options;
+  options.max_cut_rounds = 0;
+  const MipResult r = solve_mip(assignment_model(), options);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(r.nodes, 1);
+  EXPECT_GT(r.basis.cold_pop_pivots, 0);
+  EXPECT_EQ(r.basis.cold_pop_pivots, r.lp_iterations);
+  EXPECT_DOUBLE_EQ(r.objective, solve_mip(assignment_model()).objective);
+}
+
 }  // namespace
 }  // namespace gmm::ilp

@@ -7,8 +7,8 @@ namespace {
 
 TEST(Model, AddVariableAndQuery) {
   Model m;
-  const Index x = m.add_variable(0.0, 10.0, 2.5, VarType::kContinuous, "x");
-  const Index y = m.add_binary(-1.0, "y");
+  const Index x = m.add_variable(0.0, 10.0, 2.5, VarType::kContinuous);
+  const Index y = m.add_binary(-1.0);
   EXPECT_EQ(m.num_vars(), 2);
   EXPECT_DOUBLE_EQ(m.var_lb(x), 0.0);
   EXPECT_DOUBLE_EQ(m.var_ub(x), 10.0);
@@ -16,7 +16,6 @@ TEST(Model, AddVariableAndQuery) {
   EXPECT_EQ(m.var_type(y), VarType::kBinary);
   EXPECT_DOUBLE_EQ(m.var_lb(y), 0.0);
   EXPECT_DOUBLE_EQ(m.var_ub(y), 1.0);
-  EXPECT_EQ(m.var_name(x), "x");
 }
 
 TEST(Model, RowCanonicalizationMergesDuplicates) {

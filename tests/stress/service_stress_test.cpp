@@ -186,12 +186,12 @@ TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
           std::chrono::milliseconds(2 * static_cast<long>(seed)));
       token->cancel();
     });
-    const mapping::BatchResult batch =
+    const std::vector<mapping::PipelineResult> batch =
         mapping::map_batch(pool, items, options);
     canceller.join();
 
-    ASSERT_EQ(batch.results.size(), items.size());
-    for (const mapping::PipelineResult& r : batch.results) {
+    ASSERT_EQ(batch.size(), items.size());
+    for (const mapping::PipelineResult& r : batch) {
       EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                   r.status == lp::SolveStatus::kFeasible ||
                   r.status == lp::SolveStatus::kCancelled)
@@ -220,9 +220,11 @@ TEST(ServiceStress, MapBatchWithSharedDeadline) {
   token->set_deadline_after_seconds(0.005);
   mapping::PipelineOptions options;
   options.global.mip.cancel_token = token;
-  const mapping::BatchResult batch = mapping::map_batch(items, options, 2);
-  ASSERT_EQ(batch.results.size(), items.size());
-  for (const mapping::PipelineResult& r : batch.results) {
+  support::ThreadPool pool(2);
+  const std::vector<mapping::PipelineResult> batch =
+      mapping::map_batch(pool, items, options);
+  ASSERT_EQ(batch.size(), items.size());
+  for (const mapping::PipelineResult& r : batch) {
     EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                 r.status == lp::SolveStatus::kFeasible ||
                 r.status == lp::SolveStatus::kTimeLimit)
