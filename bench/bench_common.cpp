@@ -233,7 +233,8 @@ namespace {
 
 std::string cache_header() {
   std::ostringstream out;
-  out << "# gmm table3 cache seed=" << env_seed()
+  // v2: the parity column holds yes / NO / - (proved on both sides only).
+  out << "# gmm table3 cache v2 seed=" << env_seed()
       << " limit=" << env_time_limit() << " points=" << env_max_point();
   return out.str();
 }
@@ -261,7 +262,7 @@ std::optional<std::vector<Table3Row>> load_cache() {
     if (!support::parse_double(f[6], row.complete_gap)) return std::nullopt;
     if (!support::parse_double(f[7], row.global_seconds)) return std::nullopt;
     row.global_status = f[8];
-    row.objectives_match = f[9] == "yes";
+    row.parity = f[9];
     support::parse_int(f[10], row.complete_vars);
     support::parse_int(f[11], row.global_vars);
     if (!support::parse_int(f[12], row.global_nodes) ||
@@ -286,7 +287,7 @@ void store_cache(const std::vector<Table3Row>& rows) {
         << row.point.totals.configs << "," << row.complete_seconds << ","
         << row.complete_status << "," << row.complete_gap << ","
         << row.global_seconds << "," << row.global_status << ","
-        << (row.objectives_match ? "yes" : "no") << "," << row.complete_vars
+        << row.parity << "," << row.complete_vars
         << "," << row.global_vars << "," << row.global_nodes << ","
         << row.global_pivots << "," << row.global_refactorizations << "\n";
   }
@@ -343,13 +344,16 @@ std::vector<Table3Row> run_or_load_table3_sweep() {
     row.complete_vars = complete.model_size.variables;
     row.complete_rows = complete.model_size.rows;
 
-    // Both solvers run at the CPLEX-like 1e-4 relative gap, so parity
-    // holds up to twice that.
-    row.objectives_match =
-        pipeline.status == lp::SolveStatus::kOptimal &&
-        complete.mip.has_incumbent() &&
-        std::abs(pipeline.assignment.objective - complete.mip.objective) <=
-            2e-4 * std::max(1.0, pipeline.assignment.objective);
+    // Parity is claimed only between two proofs.  Both solvers run at the
+    // CPLEX-like 1e-4 relative gap, so it holds up to twice that.
+    if (pipeline.status == lp::SolveStatus::kOptimal &&
+        complete.status == lp::SolveStatus::kOptimal) {
+      row.parity =
+          std::abs(pipeline.assignment.objective - complete.mip.objective) <=
+                  2e-4 * std::max(1.0, pipeline.assignment.objective)
+              ? "yes"
+              : "NO";
+    }
     rows.push_back(row);
   }
   store_cache(rows);

@@ -36,7 +36,9 @@ struct Table3Row {
   std::int64_t global_nodes = 0;
   std::int64_t global_pivots = 0;
   std::int64_t global_refactorizations = 0;
-  bool objectives_match = false;  // quality parity on this point
+  /// Quality parity on this point: "yes" or "NO" when both formulations
+  /// proved their optimum, "-" when either did not.
+  std::string parity = "-";
   std::int64_t complete_vars = 0, complete_rows = 0;
   std::int64_t global_vars = 0, global_rows = 0;
 };

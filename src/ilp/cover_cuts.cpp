@@ -23,6 +23,8 @@ std::vector<CoverCut> separate_cover_cuts(const lp::Model& model,
                                           double min_violation) {
   std::vector<CoverCut> cuts;
   std::vector<Item> items;
+  std::vector<bool> in_cover;  // by position in items
+  std::vector<double> weights, mu;
 
   for (lp::Index i = 0; i < model.num_rows() && cuts.size() < max_cuts;
        ++i) {
@@ -60,46 +62,44 @@ std::vector<CoverCut> separate_cover_cuts(const lp::Model& model,
 
     // Minimalize: drop members whose removal keeps it a cover, preferring
     // to drop low-value members (they contribute least to violation).
-    std::vector<Item> cover(items.begin(),
-                            items.begin() + static_cast<std::ptrdiff_t>(cover_end));
-    for (std::size_t k = cover.size(); k-- > 0;) {
-      if (weight - cover[k].coef > b) {
-        weight -= cover[k].coef;
-        cover.erase(cover.begin() + static_cast<std::ptrdiff_t>(k));
+    in_cover.assign(items.size(), false);
+    std::fill(in_cover.begin(),
+              in_cover.begin() + static_cast<std::ptrdiff_t>(cover_end), true);
+    std::size_t cover_size = cover_end;
+    for (std::size_t k = cover_end; k-- > 0;) {
+      if (weight - items[k].coef > b) {
+        weight -= items[k].coef;
+        in_cover[k] = false;
+        --cover_size;
       }
     }
 
-    const double rhs = static_cast<double>(cover.size()) - 1.0;
+    const double rhs = static_cast<double>(cover_size) - 1.0;
 
     // Lift every non-cover variable of the row: with mu_h = the sum of
     // the h largest cover weights, alpha_j = max{ h : mu_h <= a_j } (0 =
     // not in the cut).  See the header for the validity argument; the
     // old "extend with coefficient 1 when a_j >= max cover weight" is
     // exactly the h = 1 case.
-    std::vector<double> mu;  // mu[h] = sum of h largest cover weights
-    mu.reserve(cover.size() + 1);
-    mu.push_back(0.0);
-    {
-      std::vector<double> weights;
-      weights.reserve(cover.size());
-      for (const Item& item : cover) weights.push_back(item.coef);
-      std::sort(weights.begin(), weights.end(), std::greater<>());
-      for (const double w : weights) mu.push_back(mu.back() + w);
+    weights.clear();
+    for (std::size_t k = 0; k < cover_end; ++k) {
+      if (in_cover[k]) weights.push_back(items[k].coef);
     }
+    std::sort(weights.begin(), weights.end(), std::greater<>());
+    mu.assign(1, 0.0);  // mu[h] = sum of h largest cover weights
+    for (const double w : weights) mu.push_back(mu.back() + w);
 
     CoverCut cut;
     double activity = 0.0;
-    for (const Item& item : cover) {
-      cut.vars.push_back(item.var);
+    for (std::size_t k = 0; k < cover_end; ++k) {
+      if (!in_cover[k]) continue;
+      cut.vars.push_back(items[k].var);
       cut.coefs.push_back(1.0);
-      activity += item.value;
+      activity += items[k].value;
     }
-    for (const Item& item : items) {
-      const bool in_cover =
-          std::any_of(cover.begin(), cover.end(), [&item](const Item& c) {
-            return c.var == item.var;
-          });
-      if (in_cover) continue;
+    for (std::size_t k = 0; k < items.size(); ++k) {
+      if (in_cover[k]) continue;
+      const Item& item = items[k];
       std::size_t alpha = 0;
       while (alpha + 1 < mu.size() && mu[alpha + 1] <= item.coef + 1e-9) {
         ++alpha;

@@ -788,6 +788,22 @@ MipResult Search::run() {
   }
   working_ = pre_.reduced;
   reduced_ = &working_;
+
+  // ---- MIP start --------------------------------------------------------
+  // Seed the incumbent BEFORE the cut loop: a search stopped during the
+  // loop still returns it, and best-first pruning (and the queued-node
+  // prune check) bites from node one.  offer_incumbent validates the
+  // candidate, so a stale or infeasible start degrades to a no-op
+  // instead of corrupting the search.  Offered before the empty-model
+  // return too, so a model that presolve decides outright still reports
+  // whether its start was used.
+  if (static_cast<Index>(options_.mip_start.size()) == original_.num_vars() &&
+      original_.num_vars() > 0) {
+    offer_incumbent(options_.mip_start);
+    result_.mip_start_used =
+        incumbent_snapshot_.load(std::memory_order_relaxed) < kInf;
+  }
+
   if (reduced_->num_vars() == 0) {
     offer_incumbent(lp::postsolve(pre_, {}));
     result_.status = incumbent_x_.empty() ? SolveStatus::kInfeasible
@@ -807,19 +823,6 @@ MipResult Search::run() {
 
   sf_ = std::make_unique<lp::StandardForm>(
       lp::StandardForm::build(*reduced_));
-
-  // ---- MIP start --------------------------------------------------------
-  // Seed the incumbent BEFORE the cut loop: a search stopped during the
-  // loop still returns it, and best-first pruning (and the queued-node
-  // prune check) bites from node one.  offer_incumbent validates the
-  // candidate, so a stale or infeasible start degrades to a no-op
-  // instead of corrupting the search.
-  if (static_cast<Index>(options_.mip_start.size()) == original_.num_vars() &&
-      original_.num_vars() > 0) {
-    offer_incumbent(options_.mip_start);
-    result_.mip_start_used =
-        incumbent_snapshot_.load(std::memory_order_relaxed) < kInf;
-  }
 
   // ---- root cut loop -----------------------------------------------------
   // Per round on the root LP: lifted cover separation, then the cuts join
@@ -870,10 +873,8 @@ MipResult Search::run() {
     }
     result_.cover_cuts += static_cast<std::int64_t>(cuts.size());
 
-    auto grown =
-        std::make_unique<lp::StandardForm>(lp::StandardForm::build(working_));
-    root_engine_->append_rows(*grown);
-    sf_ = std::move(grown);
+    sf_->append_rows(working_);
+    root_engine_->append_rows(*sf_);
   }
 
   // ---- root ------------------------------------------------------------

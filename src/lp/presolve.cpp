@@ -111,8 +111,11 @@ PresolveResult presolve(const Model& model) {
       }
       double min_act, max_act;
       activity_range(row, lb, ub, min_act, max_act);
-      const double scale =
-          std::max({1.0, std::abs(min_act), std::abs(max_act)});
+      // Scale by the finite activity bounds only: an infinite one would
+      // make every tolerance below infinite and every test pass.
+      double scale = 1.0;
+      if (std::isfinite(min_act)) scale = std::max(scale, std::abs(min_act));
+      if (std::isfinite(max_act)) scale = std::max(scale, std::abs(max_act));
       if (min_act > row.ub + kTol * scale ||
           max_act < row.lb - kTol * scale) {
         result.infeasible = true;
@@ -147,6 +150,26 @@ PresolveResult presolve(const Model& model) {
         }
         lb[t.var] = new_lb;
         ub[t.var] = new_ub;
+        row.removed = true;
+        ++result.rows_removed;
+        changed = true;
+        continue;
+      }
+      // Forcing row: one activity bound already meets the opposite row
+      // bound, so every variable must sit at the bound that gives that
+      // activity.  Fix them there and drop the row.
+      const bool at_min = row.ub < kInf && std::isfinite(min_act) &&
+                          min_act >= row.ub - kTol * scale;
+      const bool at_max = row.lb > -kInf && std::isfinite(max_act) &&
+                          max_act <= row.lb + kTol * scale;
+      if (at_min || at_max) {
+        for (const Term& t : row.terms) {
+          if ((t.coef > 0) == at_min) {
+            ub[t.var] = lb[t.var];
+          } else {
+            lb[t.var] = ub[t.var];
+          }
+        }
         row.removed = true;
         ++result.rows_removed;
         changed = true;

@@ -5,6 +5,9 @@
 //   * infeasibility detection from crossed bounds or row activity ranges,
 //   * redundant-row elimination (activity range inside the row bounds),
 //   * singleton rows folded into variable bounds,
+//   * forcing rows (the minimum activity reaches the upper bound, or the
+//     maximum the lower one): each variable is fixed at the bound that
+//     gives that activity and the row is dropped,
 //   * fixed variables substituted into row bounds and the objective.
 //
 // The reduced model keeps the surviving variables in original order;

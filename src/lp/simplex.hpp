@@ -124,7 +124,8 @@ class SimplexEngine {
   /// takes the row's activity, and B^{-1} is extended in place (see the
   /// file comment).  Duals, reduced costs and nonbasic statuses stand, so
   /// solve() resumes dual feasible from where the engine was.  The engine
-  /// references `grown` from here on; the old form may be released.
+  /// references `grown` from here on; the old form may be released, or
+  /// `grown` may be the engine's own form after StandardForm::append_rows.
   void append_rows(const StandardForm& grown);
 
   /// Bring x_B up to date with the current bounds + basis.  A no-op when

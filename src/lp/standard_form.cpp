@@ -20,67 +20,81 @@ double pow2_reciprocal(double magnitude) {
 
 StandardForm StandardForm::build(const Model& model) {
   StandardForm sf;
-  sf.num_rows = model.num_rows();
   sf.num_structural = model.num_vars();
-
-  // Count entries per column, then fill CSC (the model stores rows CSR).
-  std::vector<std::size_t> counts(sf.num_structural + 1, 0);
-  for (Index i = 0; i < model.num_rows(); ++i) {
-    const Model::RowView r = model.row(i);
-    for (std::size_t k = 0; k < r.size; ++k) ++counts[r.vars[k] + 1];
-  }
-  sf.col_start.resize(sf.num_structural + 1, 0);
-  for (Index j = 0; j < sf.num_structural; ++j) {
-    sf.col_start[j + 1] = sf.col_start[j] + counts[j + 1];
-  }
-  sf.row_index.resize(sf.col_start.back());
-  sf.value.resize(sf.col_start.back());
-  std::vector<std::size_t> fill(sf.col_start.begin(),
-                                sf.col_start.end() - 1);
-  for (Index i = 0; i < model.num_rows(); ++i) {
-    const Model::RowView r = model.row(i);
-    for (std::size_t k = 0; k < r.size; ++k) {
-      const std::size_t slot = fill[r.vars[k]]++;
-      sf.row_index[slot] = i;
-      sf.value[slot] = r.coefs[k];
-    }
-  }
-
-  // Row equilibration (see the header comment).
-  std::vector<double>& row_scale = sf.row_scale;
-  row_scale.assign(sf.num_rows, 1.0);
-  {
-    std::vector<double> row_max(sf.num_rows, 0.0);
-    for (std::size_t k = 0; k < sf.value.size(); ++k) {
-      row_max[sf.row_index[k]] =
-          std::max(row_max[sf.row_index[k]], std::abs(sf.value[k]));
-    }
-    for (Index i = 0; i < sf.num_rows; ++i) {
-      row_scale[i] = pow2_reciprocal(row_max[i]);
-    }
-    for (std::size_t k = 0; k < sf.value.size(); ++k) {
-      sf.value[k] *= row_scale[sf.row_index[k]];
-    }
-  }
-
-  const Index n_total = sf.num_cols();
-  sf.lb.resize(n_total);
-  sf.ub.resize(n_total);
-  sf.cost.assign(n_total, 0.0);
+  sf.col_start.assign(sf.num_structural + 1, 0);
+  sf.lb.resize(sf.num_structural);
+  sf.ub.resize(sf.num_structural);
+  sf.cost.resize(sf.num_structural);
   for (Index j = 0; j < sf.num_structural; ++j) {
     sf.lb[j] = model.var_lb(j);
     sf.ub[j] = model.var_ub(j);
     sf.cost[j] = model.obj(j);
   }
-  for (Index i = 0; i < sf.num_rows; ++i) {
+  sf.append_rows(model);  // every row, as if appended to an empty form
+  return sf;
+}
+
+void StandardForm::append_rows(const Model& model) {
+  GMM_ASSERT(model.num_vars() == num_structural &&
+                 model.num_rows() >= num_rows,
+             "append_rows needs the same variables and no fewer rows");
+  const Index m_old = num_rows;
+  const Index m = model.num_rows();
+  if (m == m_old) return;
+
+  // The model stores rows (CSR), the form columns (CSC).  Widen each
+  // column by its new entries: shift the old entries up, from the last
+  // column down so none is overwritten before it moves.
+  std::vector<std::size_t> added(num_structural, 0);
+  for (Index i = m_old; i < m; ++i) {
+    const Model::RowView r = model.row(i);
+    for (std::size_t k = 0; k < r.size; ++k) ++added[r.vars[k]];
+  }
+  std::vector<std::size_t> start(num_structural + 1, 0);
+  std::vector<std::size_t> fill(num_structural);
+  for (Index j = 0; j < num_structural; ++j) {
+    fill[j] = start[j] + (col_start[j + 1] - col_start[j]);
+    start[j + 1] = fill[j] + added[j];
+  }
+  row_index.resize(start.back());
+  value.resize(start.back());
+  for (Index j = num_structural; j-- > 0;) {
+    const std::size_t shift = start[j] - col_start[j];
+    if (shift == 0) break;  // and so is every earlier column's
+    for (std::size_t k = col_start[j + 1]; k-- > col_start[j];) {
+      row_index[k + shift] = row_index[k];
+      value[k + shift] = value[k];
+    }
+  }
+  col_start = std::move(start);
+
+  num_rows = m;
+  const Index n_total = num_cols();
+  lb.resize(n_total);
+  ub.resize(n_total);
+  cost.resize(n_total, 0.0);
+  row_scale.resize(m);
+  for (Index i = m_old; i < m; ++i) {
+    // Row equilibration (see the header comment), then the row's logical:
     // s_i = -(scaled row activity), so the activity range [lb, ub] maps
     // to s in [-scale*ub, -scale*lb].
-    sf.lb[sf.num_structural + i] =
-        model.row_ub(i) >= kInf ? -kInf : -model.row_ub(i) * row_scale[i];
-    sf.ub[sf.num_structural + i] =
-        model.row_lb(i) <= -kInf ? kInf : -model.row_lb(i) * row_scale[i];
+    const Model::RowView r = model.row(i);
+    double row_max = 0.0;
+    for (std::size_t k = 0; k < r.size; ++k) {
+      row_max = std::max(row_max, std::abs(r.coefs[k]));
+    }
+    const double scale = pow2_reciprocal(row_max);
+    row_scale[i] = scale;
+    for (std::size_t k = 0; k < r.size; ++k) {
+      const std::size_t slot = fill[r.vars[k]]++;
+      row_index[slot] = i;
+      value[slot] = r.coefs[k] * scale;
+    }
+    lb[num_structural + i] =
+        model.row_ub(i) >= kInf ? -kInf : -model.row_ub(i) * scale;
+    ub[num_structural + i] =
+        model.row_lb(i) <= -kInf ? kInf : -model.row_lb(i) * scale;
   }
-  return sf;
 }
 
 }  // namespace gmm::lp

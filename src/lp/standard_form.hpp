@@ -52,6 +52,12 @@ struct StandardForm {
   /// Build from a model.  Variable bounds may be overridden later through
   /// SimplexEngine::set_column_bounds (used by branch & bound).
   static StandardForm build(const Model& model);
+
+  /// Take in the rows `model` has beyond num_rows (same variables): each
+  /// new row is scaled by its own max |a|, its entries go to the tail of
+  /// their columns and its logical joins the end, so the result equals
+  /// build(model) field by field.  build() is the case of an empty form.
+  void append_rows(const Model& model);
 };
 
 }  // namespace gmm::lp

@@ -100,13 +100,10 @@ DetailedMapping map_detailed(const design::Design& design,
   GMM_ASSERT(assignment.type_of.size() == num_ds,
              "assignment does not match the design");
 
-  // Conflict adjacency for the overlap rule.
-  std::vector<std::vector<bool>> conflicts(num_ds,
-                                           std::vector<bool>(num_ds, false));
-  for (const auto& [a, b] : design.conflict_pairs()) {
-    conflicts[a][b] = true;
-    conflicts[b][a] = true;
-  }
+  // On an all-conflicting design (the paper's) no block can be shared, so
+  // the overlap pass is skipped and no block is recorded for it.
+  const bool overlap = options.allow_overlap &&
+                       design.num_conflicts() < num_ds * (num_ds - 1) / 2;
 
   for (std::size_t t = 0; t < board.num_types(); ++t) {
     const arch::BankType& type = board.type(t);
@@ -151,7 +148,7 @@ DetailedMapping map_detailed(const design::Design& design,
       // demand) whose occupants are all lifetime-compatible with this
       // structure; the joiner time-multiplexes the same storage and
       // ports, so neither capacity nor ports are charged again.
-      if (options.allow_overlap) {
+      if (overlap) {
         for (std::size_t i = 0; i < instances.size() && !placed; ++i) {
           InstanceState& inst = instances[i];
           for (SharedBlock& block : inst.blocks) {
@@ -163,7 +160,8 @@ DetailedMapping map_detailed(const design::Design& design,
             const bool compatible = std::none_of(
                 block.occupants.begin(), block.occupants.end(),
                 [&](std::size_t other) {
-                  return other == frag.ds || conflicts[frag.ds][other];
+                  return other == frag.ds ||
+                         design.conflicts(frag.ds, other);
                 });
             if (!compatible) continue;
             mapping.fragments.push_back(PlacedFragment{
@@ -206,10 +204,11 @@ DetailedMapping map_detailed(const design::Design& design,
             .bits_covered = g.bits_covered,
         });
         inst.ports_used += g.ports_each;
-        inst.blocks.push_back(SharedBlock{offset, g.block_bits,
-                                          g.config_index, g.ports_each,
-                                          mapping.fragments.back().first_port,
-                                          {frag.ds}});
+        if (overlap) {
+          inst.blocks.push_back(SharedBlock{
+              offset, g.block_bits, g.config_index, g.ports_each,
+              mapping.fragments.back().first_port, {frag.ds}});
+        }
         placed = true;
       }
 
@@ -244,9 +243,11 @@ DetailedMapping map_detailed(const design::Design& design,
             .bits_covered = g.bits_covered,
         });
         inst.ports_used = g.ports_each;
-        inst.blocks.push_back(SharedBlock{offset, g.block_bits,
-                                          g.config_index, g.ports_each,
-                                          0, {frag.ds}});
+        if (overlap) {
+          inst.blocks.push_back(SharedBlock{offset, g.block_bits,
+                                            g.config_index, g.ports_each,
+                                            0, {frag.ds}});
+        }
       }
     }
   }

@@ -42,6 +42,11 @@ std::int64_t consumed_ports(std::int64_t fragment_depth,
   return ceil_div(depth * ports, bank_depth);
 }
 
+void FragmentGroups::push_back(const FragmentGroup& group) {
+  GMM_ASSERT(size_ < kCapacity, "a plan has at most four fragment groups");
+  items_[size_++] = group;
+}
+
 std::int64_t PlacementPlan::total_fragments() const {
   std::int64_t total = 0;
   for (const FragmentGroup& g : groups) total += g.count;

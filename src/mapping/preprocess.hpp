@@ -27,8 +27,8 @@
 // mapper and the complete (flat) formulation.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "arch/memory_bank.hpp"
 #include "design/data_structure.hpp"
@@ -75,6 +75,29 @@ struct FragmentGroup {
   std::int64_t bits_covered = 0;   // actual structure width per fragment
 };
 
+/// A plan's fragment groups, at most one per Figure-2 role and in that
+/// order, held inline (a fixed array plus a count) so that a plan, and
+/// the CostTable built on every solve, replay and certification, makes
+/// no heap allocation.  Read it like a std::span: size(), [i], range-for.
+class FragmentGroups {
+ public:
+  static constexpr std::size_t kCapacity = 4;
+
+  void push_back(const FragmentGroup& group);
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const FragmentGroup& operator[](std::size_t i) const {
+    return items_[i];
+  }
+  [[nodiscard]] const FragmentGroup* begin() const { return items_.data(); }
+  [[nodiscard]] const FragmentGroup* end() const {
+    return items_.data() + size_;
+  }
+
+ private:
+  std::array<FragmentGroup, kCapacity> items_{};
+  std::size_t size_ = 0;
+};
+
 /// Pre-processing result for one (data structure, bank type) pair.
 struct PlacementPlan {
   /// False when the structure cannot be hosted by this type at all (the
@@ -87,7 +110,7 @@ struct PlacementPlan {
   std::int64_t cd = 0;  // consumed depth     (paper CD_dt)
   /// Component breakdown of cp (paper: CP = FP + WP + DP + WDP).
   std::int64_t fp = 0, wp = 0, dp = 0, wdp = 0;
-  std::vector<FragmentGroup> groups;
+  FragmentGroups groups;
 
   /// Total number of fragments (= number of instances touched when no two
   /// fragments share an instance; packing may use fewer).

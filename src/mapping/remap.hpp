@@ -14,6 +14,13 @@
 //     a placement depends only on depth x width (the placement plans),
 //     not on traffic, so pinning the traffic-unchanged structures of a
 //     traffic-only mutation preserves feasibility of the prior mapping.
+//     Pins collapse in presolve: a pinned Z_dt* = 1 leaves its uniqueness
+//     row a forcing row sum_{t != t*} Z_dt = 0, so the structure's other
+//     columns are fixed at 0 and the row goes, and capacity rows the pins
+//     leave slack go as redundant.  The LP the search sees holds the free
+//     structures alone (Table-3 point 9 with two free structures: 285
+//     columns x 131 rows before forcing rows, 4 x 2 after), and a delta
+//     presolve decides outright never reaches the search.
 //   * migration penalty — moving a structure off its prior type costs
 //     extra in the model, steering the delta toward minimal-disturbance
 //     remaps (arXiv:2003.10472's "local reconfiguration" regime).  The

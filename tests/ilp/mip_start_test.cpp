@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "ilp/mip_solver.hpp"
 #include "mapping/cost_model.hpp"
 #include "mapping/global_mapper.hpp"
 #include "mapping/greedy_mapper.hpp"
@@ -173,6 +174,34 @@ TEST_P(Table3MipStart, MigrationPenaltyReportsThePureObjective) {
 // exactly and is covered by the benches instead).
 INSTANTIATE_TEST_SUITE_P(TractablePoints, Table3MipStart,
                          ::testing::Values(0, 1, 2, 3, 4, 6, 7, 8));
+
+// A model that presolve decides outright (here one forcing row fixes every
+// variable) never reaches the search, but its start is still offered and
+// reported: a near miss whose pins leave nothing to choose must say that
+// its prior assignment was used.
+TEST(MipStartPresolved, StartIsReportedWhenPresolveDecidesTheModel) {
+  lp::Model model;
+  const lp::Index x = model.add_binary(1.0);
+  const lp::Index y = model.add_binary(2.0);
+  lp::LinExpr both;
+  both.add(x, 1.0);
+  both.add(y, 1.0);
+  model.add_constraint(both, lp::Sense::kGreaterEqual, 2.0);
+
+  MipOptions options;
+  options.mip_start = {1.0, 1.0};
+  const MipResult used = solve_mip(model, options);
+  EXPECT_EQ(used.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(used.mip_start_used);
+  EXPECT_EQ(used.nodes, 0);
+  EXPECT_DOUBLE_EQ(used.objective, 3.0);
+
+  options.mip_start = {0.0, 1.0};  // violates the row: rejected
+  const MipResult rejected = solve_mip(model, options);
+  EXPECT_EQ(rejected.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(rejected.mip_start_used);
+  EXPECT_DOUBLE_EQ(rejected.objective, 3.0);
+}
 
 }  // namespace
 }  // namespace gmm::ilp

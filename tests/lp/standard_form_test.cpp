@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "lp/solver.hpp"
 #include "support/rng.hpp"
@@ -110,6 +112,70 @@ TEST(StandardForm, RandomScaledLpsMatchUnscaledEquivalents) {
     EXPECT_NEAR(a.objective, b.objective,
                 1e-6 * std::max(1.0, std::abs(a.objective)))
         << "trial " << trial;
+  }
+}
+
+/// A row over a random subset of the model's variables (at least one)
+/// with coefficients across six orders of magnitude, some negative.
+LinExpr random_row(support::Rng& rng, Index n) {
+  LinExpr e;
+  for (Index j = 0; j < n; ++j) {
+    if (rng.bernoulli(0.5)) {
+      const double magnitude = std::exp2(rng.uniform_int(-3, 18)) *
+                               (1.0 + 0.001 * rng.uniform_int(0, 999));
+      e.add(j, rng.bernoulli(0.2) ? -magnitude : magnitude);
+    }
+  }
+  if (e.empty()) e.add(static_cast<Index>(rng.index(n)), 1.0);
+  return e;
+}
+
+void expect_same_form(const StandardForm& got, const StandardForm& want) {
+  EXPECT_EQ(got.num_rows, want.num_rows);
+  EXPECT_EQ(got.num_structural, want.num_structural);
+  EXPECT_EQ(got.col_start, want.col_start);
+  EXPECT_EQ(got.row_index, want.row_index);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.lb, want.lb);
+  EXPECT_EQ(got.ub, want.ub);
+  EXPECT_EQ(got.cost, want.cost);
+  EXPECT_EQ(got.row_scale, want.row_scale);
+}
+
+// The root cut loop grows its form in place instead of rebuilding it: over
+// random models and random sequences of appended (cut-like) rows, the
+// grown form must equal a fresh build of the grown model, bit for bit.
+TEST(StandardFormAppendRowsProperty, GrownFormEqualsAFreshBuild) {
+  for (int seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    support::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 3);
+    Model m;
+    const auto n = static_cast<Index>(rng.uniform_int(1, 12));
+    for (Index j = 0; j < n; ++j) {
+      if (rng.bernoulli(0.5)) {
+        m.add_binary(static_cast<double>(rng.uniform_int(-5, 5)));
+      } else {
+        m.add_variable(static_cast<double>(rng.uniform_int(-3, 0)),
+                       rng.bernoulli(0.2) ? kInf : rng.uniform_int(1, 9),
+                       static_cast<double>(rng.uniform_int(-5, 5)));
+      }
+    }
+    const std::int64_t rows = rng.uniform_int(0, 10);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const double ub = static_cast<double>(rng.uniform_int(1, 1000));
+      m.add_row(random_row(rng, n), rng.bernoulli(0.3) ? -ub : -kInf, ub);
+    }
+    StandardForm sf = StandardForm::build(m);
+    const std::int64_t rounds = rng.uniform_int(1, 4);
+    for (std::int64_t r = 0; r < rounds; ++r) {
+      const std::int64_t cuts = rng.uniform_int(0, 5);
+      for (std::int64_t k = 0; k < cuts; ++k) {
+        m.add_row(random_row(rng, n), -kInf,
+                  static_cast<double>(rng.uniform_int(0, 6)));
+      }
+      sf.append_rows(m);
+      expect_same_form(sf, StandardForm::build(m));
+    }
   }
 }
 

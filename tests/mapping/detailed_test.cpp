@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "arch/device_catalog.hpp"
+#include "mapping/pipeline.hpp"
 #include "mapping/validate.hpp"
 #include "support/rng.hpp"
+#include "workload/table3_suite.hpp"
 
 namespace gmm::mapping {
 namespace {
@@ -123,6 +125,71 @@ TEST(DetailedMapper, OverlapDisabledUsesSeparateInstances) {
       map_detailed(design, board, table, assignment, options);
   ASSERT_TRUE(mapping.success) << mapping.failure;
   EXPECT_EQ(mapping.instances_used(0), 2);
+}
+
+// On a design with both conflicting and lifetime-disjoint pairs the overlap
+// pass runs: a structure without a lifetime (it conflicts with every other
+// one) neither joins a shared block nor hosts one, while the
+// lifetime-disjoint pair still shares.
+TEST(DetailedMapper, MixedDesignSharesOnlyLifetimeDisjointStructures) {
+  arch::Board board("b");
+  board.add_bank_type(arch::on_chip_bank_type(*arch::find_device("XCV50")));
+  design::Design design("d");
+  design.add(ds("always", 4096, 1));  // no lifetime
+  auto a = ds("a", 4096, 1);
+  a.lifetime = design::Lifetime{0, 10};
+  auto b = ds("b", 4096, 1);
+  b.lifetime = design::Lifetime{20, 30};
+  design.add(a);
+  design.add(b);
+  design.derive_conflicts_from_lifetimes();
+  const CostTable table(design, board);
+  GlobalAssignment assignment;
+  assignment.type_of = {0, 0, 0};
+  const DetailedMapping mapping =
+      map_detailed(design, board, table, assignment);
+  ASSERT_TRUE(mapping.success) << mapping.failure;
+  ASSERT_EQ(mapping.fragments.size(), 3u);
+  EXPECT_EQ(mapping.fragments[0].instance, 0);  // "always", alone
+  EXPECT_EQ(mapping.fragments[1].instance, 1);  // a
+  EXPECT_EQ(mapping.fragments[2].instance, 1);  // b joins a's block
+  EXPECT_EQ(mapping.instances_used(0), 2);
+  EXPECT_TRUE(validate_mapping(design, board, assignment, mapping).empty());
+}
+
+// On the paper's all-conflicting designs no block can be shared, so the
+// placements must be exactly those of a run with overlap switched off.
+TEST(DetailedMapper, AllConflictingDesignMapsIdenticallyWithOverlapOnOrOff) {
+  for (const int index : {1, 3, 5}) {
+    const workload::Table3Instance inst =
+        workload::build_instance(workload::table3_points()[index - 1], 2001);
+    ASSERT_EQ(inst.design.num_conflicts(),
+              inst.design.size() * (inst.design.size() - 1) / 2);
+    const PipelineResult solved = map_pipeline(inst.design, inst.board);
+    ASSERT_TRUE(solved.detailed.success) << "point " << index;
+    const CostTable table(inst.design, inst.board);
+    DetailedOptions off;
+    off.allow_overlap = false;
+    const DetailedMapping with =
+        map_detailed(inst.design, inst.board, table, solved.assignment);
+    const DetailedMapping without =
+        map_detailed(inst.design, inst.board, table, solved.assignment, off);
+    ASSERT_TRUE(with.success && without.success) << "point " << index;
+    ASSERT_EQ(with.fragments.size(), without.fragments.size());
+    for (std::size_t i = 0; i < with.fragments.size(); ++i) {
+      const PlacedFragment& a = with.fragments[i];
+      const PlacedFragment& b = without.fragments[i];
+      EXPECT_TRUE(a.ds == b.ds && a.type == b.type &&
+                  a.instance == b.instance &&
+                  a.config_index == b.config_index && a.kind == b.kind &&
+                  a.ports == b.ports && a.first_port == b.first_port &&
+                  a.offset_bits == b.offset_bits &&
+                  a.block_bits == b.block_bits &&
+                  a.words_covered == b.words_covered &&
+                  a.bits_covered == b.bits_covered)
+          << "point " << index << " fragment " << i;
+    }
+  }
 }
 
 TEST(DetailedMapper, FailsWhenInstancesExhausted) {
