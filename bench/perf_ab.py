@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B the repository benchmark: a parent commit against the working tree.
 
-    python3 bench/perf_ab.py --parent HEAD~1 --pairs 4 \
+    python3 bench/perf_ab.py --parent HEAD~1 \
         --workloads table3_global,serve_mix --seconds 45
 
 Run from anywhere inside the repository.  Exports the parent commit
@@ -12,11 +12,17 @@ address mod 64.  Then runs --pairs ABBA pairs per workload (pair 1 runs
 parent then change, pair 2 change then parent, ...) through each tree's
 own perfbench/run.py, and tabulates per run the scaled end-to-end
 metrics, host.probe_p10_ms and the unscaled measured.* values, with a
-per-workload summary: medians, the parent's quartiles and how many pairs
-the change won on each metric.  Last, it runs each tree once more per
-workload with --trace 1 (same seed and --seconds) and prints the exact
-search and service counts of both side by side, marking every count that
-differs: a change meant to keep the search must keep them all.
+per-workload summary: medians, the parent's quartiles, how many pairs
+the change won, and a verdict against the metric's BENCHMARK.json bound
+(a fraction of the parent's median): "within bound", "WORSE than bound",
+or "unresolved" when the parent's quartile spread is wider than the bound
+and not every change run reads better than every parent run.  The same
+verdict is printed for each measured.* timing under its metric's bound.
+Last, it runs each tree once more per workload with --trace 1 (same seed
+and --seconds) and prints the exact search and service counts of both
+side by side, marking every count that differs: a change meant to keep
+the search must keep them all.  One traced run per tree supports no
+per-layer timing, so only those counts are recorded.
 
 Why: perfbench divides every timing by the p10 of probe_ms, a dense loop
 whose speed depends on where its code lands, so a change that only shifts
@@ -136,20 +142,47 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def summarize(workload, runs, better):
-    print(f"\n== {workload}: medians (parent quartiles), change wins / pairs")
-    pairs = len(runs)
+def verdict(p, c, bound, sign):
+    """The change's median against the parent's, `sign` = +1 when higher
+    is better; `bound` is the allowed worsening as a fraction."""
+    median = statistics.median(p)
+    if bound is None or not median:
+        return ""
+    lo, hi = quartiles(p)
+    if (hi - lo) / abs(median) > bound and \
+            not all(sign * (b - a) > 0 for a in p for b in c):
+        return "unresolved"
+    worse = -sign * (statistics.median(c) - median) / abs(median)
+    return "WORSE than bound" if worse > bound else "within bound"
+
+
+def summary_line(name, p, c, sign, bound):
+    lo, hi = quartiles(p)
+    wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
+    move = (statistics.median(c) / statistics.median(p) - 1) * 100 \
+        if statistics.median(p) else 0.0
+    bound_text = f"bound {bound:.0%} " if bound is not None else ""
+    print(f"  {name:22s} P {statistics.median(p):10.5g} "
+          f"[{lo:.5g}-{hi:.5g}]  C {statistics.median(c):10.5g}  "
+          f"{move:+6.1f}%  wins {wins}/{len(p)}  {bound_text}"
+          f"{verdict(p, c, bound, sign)}")
+
+
+def summarize(workload, runs, better, bounds):
+    print(f"\n== {workload}: medians (parent quartiles), change wins / pairs,"
+          " verdict")
     for name in sorted(runs[0]["P"]["metrics"]):
-        p = [r["P"]["metrics"][name] for r in runs]
-        c = [r["C"]["metrics"][name] for r in runs]
-        lo, hi = quartiles(p)
-        sign = -1 if better.get(name) == "lower" else 1
-        wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
-        move = (statistics.median(c) / statistics.median(p) - 1) * 100 \
-            if statistics.median(p) else 0.0
-        print(f"  {name:14s} P {statistics.median(p):10.5g} "
-              f"[{lo:.5g}-{hi:.5g}]  C {statistics.median(c):10.5g}  "
-              f"{move:+6.1f}%  wins {wins}/{pairs}")
+        summary_line(name, [r["P"]["metrics"][name] for r in runs],
+                     [r["C"]["metrics"][name] for r in runs],
+                     -1 if better.get(name) == "lower" else 1,
+                     bounds.get(name))
+    print(f"== {workload}: measured.* (unscaled)")
+    for name in TIMINGS:
+        if all(name in r[side]["measured"] for r in runs for side in "PC"):
+            summary_line("measured." + name,
+                         [r["P"]["measured"][name] for r in runs],
+                         [r["C"]["measured"][name] for r in runs], -1,
+                         bounds.get(name))
 
 
 def compare_counts(workload, traced):
@@ -165,7 +198,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
                         help="commit to compare against, e.g. HEAD~1")
-    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default="table3_global,serve_mix")
     parser.add_argument("--seconds", type=int, default=45)
     parser.add_argument("--seed", type=int, default=2001)
@@ -203,6 +236,7 @@ def main():
 
     spec = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     record = {"parent": args.parent, "probe_offset_mod64": offsets,
               "workloads": {}, "traced": {}}
     for workload in filter(None, args.workloads.split(",")):
@@ -238,7 +272,7 @@ def main():
             if flags:
                 print(f"  pair {pair}: FLAG " + "; ".join(flags))
         if runs:
-            summarize(workload, runs, better)
+            summarize(workload, runs, better, bounds)
         traced = {}
         for side in ("P", "C"):
             run = run_once(trees[side], workload, args.seed, args.seconds,
@@ -246,7 +280,8 @@ def main():
             if run is None or not run["ok"]:
                 log(f"perf_ab: traced {side} run on {workload} failed: {run}")
                 return 1
-            traced[side] = run["metrics"]
+            traced[side] = {name: run["metrics"][name] for name in COUNTS
+                            if name in run["metrics"]}
         compare_counts(workload, traced)
         record["workloads"][workload] = runs
         record["traced"][workload] = traced

@@ -5,10 +5,6 @@
 // Options:
 //   --complete     solve the flat (complete) formulation instead of the
 //                  global/detailed pipeline (single-design mode only)
-//   --portfolio    race several solver configurations concurrently and
-//                  return the first lane to prove (single-design mode
-//                  only); prints the per-lane race table
-//   --lanes N      portfolio lane count, 1..6 (default 3)
 //   --devices N    split a single-device board round-robin across N
 //                  identical FPGAs and map with the sharded mapper
 //                  (single-design mode only); boards whose files already
@@ -34,7 +30,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,8 +48,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <board-file> <design-file>... [--complete] "
-               "[--portfolio] [--lanes N] [--devices N] [--csv] [--map] "
-               "[--threads N] [--jobs N]\n",
+               "[--devices N] [--csv] [--map] [--threads N] [--jobs N]\n",
                argv0);
   return 2;
 }
@@ -149,8 +143,7 @@ int report_single(const gmm::arch::Board& board,
 
 int main(int argc, char** argv) {
   using namespace gmm;
-  std::optional<mapping::Formulation> asked;  // --complete / --portfolio
-  int lanes = 0;  // 0 = mapping::kDefaultPortfolioLanes
+  bool complete = false;
   bool csv = false;
   bool memory_map = false;
   int threads = 1;
@@ -159,21 +152,8 @@ int main(int argc, char** argv) {
   bool jobs_given = false;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--complete") == 0 ||
-        std::strcmp(argv[i], "--portfolio") == 0) {
-      const auto formulation = mapping::parse_formulation(argv[i] + 2);
-      if (asked.has_value() && asked != formulation) {
-        std::fprintf(stderr,
-                     "--portfolio and --complete are exclusive (the "
-                     "portfolio menu already includes a complete lane)\n");
-        return usage(argv[0]);
-      }
-      asked = formulation;
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      if (!parse_count(argv[++i], lanes) || lanes < 1 ||
-          lanes > mapping::kMaxPortfolioLanes) {
-        return usage(argv[0]);
-      }
+    if (std::strcmp(argv[i], "--complete") == 0) {
+      complete = true;
     } else if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
       if (!parse_count(argv[++i], devices) || devices < 1) {
         return usage(argv[0]);
@@ -239,43 +219,20 @@ int main(int argc, char** argv) {
   // ---- single-design mode ----------------------------------------------
   if (designs.size() == 1 && !jobs_given) {
     const design::Design& design = designs[0].design;
-    if (asked == mapping::Formulation::kComplete && board.multi_device()) {
+    if (complete && board.multi_device()) {
       std::fprintf(stderr,
                    "--complete is a single-device option; multi-device "
                    "boards use the sharded mapper\n");
       return usage(argv[0]);
     }
     mapping::SolveSpec spec;
-    spec.formulation = asked.value_or(board.multi_device()
-                                          ? mapping::Formulation::kSharded
-                                          : mapping::Formulation::kGlobal);
+    spec.formulation = complete               ? mapping::Formulation::kComplete
+                       : board.multi_device() ? mapping::Formulation::kSharded
+                                              : mapping::Formulation::kGlobal;
     spec.pipeline = pipeline_options;
-    spec.lanes = lanes;
     const mapping::SolveOutcome r = mapping::solve(design, board, spec);
-    if (!csv && asked == mapping::Formulation::kPortfolio) {
-      report::TextTable race({"Lane", "Kind", "Status", "Objective",
-                              "Wall (s)", "B&B nodes"});
-      race.set_alignment(0, report::Align::kLeft);
-      race.set_alignment(1, report::Align::kLeft);
-      race.set_alignment(2, report::Align::kLeft);
-      for (const mapping::LaneReport& lane : r.lanes) {
-        race.add_row(
-            {lane.name, mapping::to_string(lane.kind),
-             lane.ran ? lp::to_string(lane.status) : "never ran",
-             lane.usable
-                 ? std::to_string(static_cast<long long>(lane.objective))
-                 : "-",
-             support::format_fixed(lane.seconds, 3),
-             std::to_string(static_cast<long long>(lane.effort.bnb_nodes))});
-      }
-      race.print(std::cout);
-      std::printf("\nportfolio: %zu lanes, winner %s, first proof in "
-                  "%.3fs, %d lanes cancelled\n\n",
-                  r.lanes.size(),
-                  r.winner >= 0 ? r.winner_name.c_str() : "none",
-                  r.first_prove_seconds, r.lanes_cancelled);
-    } else if (!csv && r.has_mapping() &&
-               spec.formulation == mapping::Formulation::kSharded) {
+    if (!csv && r.has_mapping() &&
+        spec.formulation == mapping::Formulation::kSharded) {
       std::printf("sharded over %d devices: %d shards, stitch cost %.0f, "
                   "%lld cut edges, %d repair rounds\n",
                   r.shard.devices, r.shard.shards, r.shard.stitch_cost,
@@ -287,11 +244,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- batch mode ------------------------------------------------------
-  if (asked.has_value() || board.multi_device()) {
+  if (complete || board.multi_device()) {
     std::fprintf(stderr,
                  "batch mode maps each design with the single-device "
-                 "pipeline; --complete, --portfolio and multi-device boards "
-                 "(--devices) are single-design options\n");
+                 "pipeline; --complete and multi-device boards (--devices) "
+                 "are single-design options\n");
     return usage(argv[0]);
   }
   if (jobs <= 0) {

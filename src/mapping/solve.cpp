@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <memory>
 #include <thread>
 #include <utility>
 
 #include "mapping/complete_mapper.hpp"
 #include "mapping/cost_model.hpp"
-#include "mapping/portfolio.hpp"
 #include "mapping/remap.hpp"
 #include "mapping/validate.hpp"
 #include "support/fault.hpp"
@@ -19,8 +17,7 @@ namespace gmm::mapping {
 namespace {
 
 /// Indexed by Formulation.
-constexpr const char* kFormulationNames[] = {"global", "complete", "sharded",
-                                             "portfolio"};
+constexpr const char* kFormulationNames[] = {"global", "complete", "sharded"};
 
 /// Fan-out workers for `tasks` concurrent solves: workers times per-solve
 /// B&B threads stay within the thread budget, never more workers than
@@ -83,9 +80,7 @@ SolveOutcome solve_sharded(const design::Design& design,
   for (std::size_t k = 0; k < board.num_devices(); ++k) {
     if (board.device_banks(k) > 0) ++usable;
   }
-  // One candidate solve per (part, device) pair, on map_sharded's own
-  // pool: a portfolio lane waiting on candidates queued into the race's
-  // pool would stall the race behind its sibling lanes.
+  // One candidate solve per (part, device) pair.
   options.num_workers = fan_out_workers(spec, usable * usable);
   ShardResult r = map_sharded(design, board, options);
   SolveOutcome out = outcome_of(r);
@@ -93,19 +88,6 @@ SolveOutcome solve_sharded(const design::Design& design,
   out.device_of = std::move(r.device_of);
   out.shard = r.stats;
   return out;
-}
-
-SolveOutcome solve_race(const design::Design& design, const arch::Board& board,
-                        const SolveSpec& spec) {
-  PortfolioOptions options;
-  // The race only reads its parent token (deadline, cancelled).
-  options.cancel_token = std::const_pointer_cast<support::CancelToken>(
-      spec.pipeline.global.mip.cancel_token);
-  options.lanes = default_portfolio_lanes(
-      board, spec.lanes >= 1 ? spec.lanes : kDefaultPortfolioLanes,
-      spec.pipeline);
-  support::ThreadPool pool(fan_out_workers(spec, options.lanes.size()));
-  return solve_portfolio(pool, design, board, options);
 }
 
 /// Certify a fresh answer; one that fails keeps no mapping.
@@ -156,11 +138,7 @@ SolveOutcome solve(const design::Design& design, const arch::Board& board,
     case Formulation::kSharded:
       out = solve_sharded(design, board, spec);
       break;
-    case Formulation::kPortfolio:
-      // Every lane ran solve() and certified its own outcome.
-      return solve_race(design, board, spec);
   }
-  out.formulation = spec.formulation;
   certify(design, board, spec, out);
   return out;
 }

@@ -429,7 +429,6 @@ void MappingService::run_map(const std::string& id, int version,
   // The one shared mapping from wire knobs onto MipOptions (gap,
   // node/time budgets, basis cache, threads clamped to the server cap).
   apply_solver_knobs(request.knobs, options_.max_threads_per_solve, mip);
-  spec.lanes = request.knobs.lanes;
   spec.max_threads = options_.max_threads_per_solve;
 
   // Sharded solves bypass the cache entirely: their objective includes
@@ -467,7 +466,7 @@ void MappingService::run_map(const std::string& id, int version,
   const mapping::SolveOutcome outcome = mapping::solve(design, *board, spec);
 
   // The `stats` counters charge every solve the request triggered
-  // (retries, discarded shard candidates, losing lanes); the response's
+  // (retries and discarded shard candidates); the response's
   // nodes/seconds report only the work behind the returned mapping.
   {
     const std::scoped_lock lock(mutex_);
@@ -480,15 +479,6 @@ void MappingService::run_map(const std::string& id, int version,
     if (sharded) {
       ++stats_.sharded_requests;
       stats_.shard_solves += outcome.shard.candidate_solves;
-    }
-    if (request.formulation == mapping::Formulation::kPortfolio) {
-      ++stats_.portfolio.requests;
-      stats_.portfolio.lanes_launched +=
-          static_cast<std::int64_t>(outcome.lanes.size());
-      stats_.portfolio.lanes_cancelled += outcome.lanes_cancelled;
-      if (!outcome.winner_name.empty()) {
-        ++stats_.portfolio.winners[outcome.winner_name];
-      }
     }
     // The request consulted the cache and a solve ran anyway: a miss
     // (near_misses / verify_fails break the misses down further).
@@ -521,9 +511,6 @@ void MappingService::run_map(const std::string& id, int version,
     response.shards = outcome.shard.shards;
     response.stitch_cost = outcome.shard.stitch_cost;
   }
-  response.lanes = static_cast<int>(outcome.lanes.size());
-  response.winner = outcome.winner_name;
-  response.lanes_cancelled = outcome.lanes_cancelled;
   // A result payload only with a certified mapping: never an objective
   // of 0 without an incumbent, nor one whose assignment never packed.
   if (outcome.has_mapping()) {

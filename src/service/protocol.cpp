@@ -92,9 +92,7 @@ Request parse_request_line(const std::string& line) {
             "formulation",
             object.get_bool("complete", false) ? "complete" : "global"));
     if (!formulation.has_value()) {
-      request.error =
-          "'formulation' must be 'global', 'complete', 'sharded' or "
-          "'portfolio'";
+      request.error = "'formulation' must be 'global', 'complete' or 'sharded'";
       return request;
     }
     request.map.formulation = *formulation;
@@ -190,11 +188,6 @@ Json Response::to_json() const {
       object["shards"] = static_cast<std::int64_t>(shards);
       object["stitch_cost"] = stitch_cost;
     }
-    if (lanes > 0) {
-      object["lanes"] = static_cast<std::int64_t>(lanes);
-      if (!winner.empty()) object["winner"] = winner;
-      object["lanes_cancelled"] = static_cast<std::int64_t>(lanes_cancelled);
-    }
     JsonArray rows;
     rows.reserve(placements.size());
     for (const PlacementEntry& p : placements) {
@@ -260,19 +253,6 @@ Json Response::to_json() const {
       transport["shed"] = stats.transport.shed;
       object["transport"] = std::move(transport);
     }
-    // Likewise emitted only once a portfolio request has actually run.
-    if (stats.portfolio.requests > 0) {
-      JsonObject portfolio;
-      portfolio["requests"] = stats.portfolio.requests;
-      portfolio["lanes_launched"] = stats.portfolio.lanes_launched;
-      portfolio["lanes_cancelled"] = stats.portfolio.lanes_cancelled;
-      JsonObject winners;
-      for (const auto& [name, wins] : stats.portfolio.winners) {
-        winners[name] = wins;
-      }
-      portfolio["winners"] = std::move(winners);
-      object["portfolio"] = std::move(portfolio);
-    }
   }
   return Json(std::move(object));
 }
@@ -322,10 +302,6 @@ bool Response::from_json(const Json& value, Response& out) {
     out.cached = value.get_bool("cached", false);
     out.shards = static_cast<int>(value.get_number("shards", 0.0));
     out.stitch_cost = value.get_number("stitch_cost", 0.0);
-    out.lanes = static_cast<int>(value.get_number("lanes", 0.0));
-    out.winner = value.get_string("winner");
-    out.lanes_cancelled =
-        static_cast<int>(value.get_number("lanes_cancelled", 0.0));
     const Json* rows = value.find("placements");
     if (rows != nullptr && rows->is_array()) {
       for (const Json& row : rows->as_array()) {
@@ -406,24 +382,6 @@ bool Response::from_json(const Json& value, Response& out) {
       out.stats.transport.bytes_sent = tcount("bytes_sent");
       out.stats.transport.responses_dropped = tcount("responses_dropped");
       out.stats.transport.shed = tcount("shed");
-    }
-    const Json* portfolio = value.find("portfolio");
-    if (portfolio != nullptr && portfolio->is_object()) {
-      const auto pcount = [portfolio](const char* key) {
-        return static_cast<std::int64_t>(portfolio->get_number(key, 0.0));
-      };
-      out.stats.portfolio.requests = pcount("requests");
-      out.stats.portfolio.lanes_launched = pcount("lanes_launched");
-      out.stats.portfolio.lanes_cancelled = pcount("lanes_cancelled");
-      const Json* winners = portfolio->find("winners");
-      if (winners != nullptr && winners->is_object()) {
-        for (const auto& [name, wins] : winners->as_object()) {
-          if (wins.is_number()) {
-            out.stats.portfolio.winners[name] =
-                static_cast<std::int64_t>(wins.as_number());
-          }
-        }
-      }
     }
   }
   return true;

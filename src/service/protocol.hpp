@@ -20,12 +20,9 @@
 //             "design_text" | "design_path" (exactly one required),
 //             "formulation" ("global" — the paper's global/detailed
 //             pipeline, default — "complete", the flat one-ILP
-//             baseline; far slower on big boards — "sharded", the
+//             baseline; far slower on big boards — or "sharded", the
 //             multi-device partition/fan-out/stitch mapper; on
-//             single-device boards it degenerates to "global" — or
-//             "portfolio", which races options.lanes solver
-//             configurations concurrently and returns the first lane
-//             to prove; see mapping/portfolio.hpp),
+//             single-device boards it degenerates to "global"),
 //             "options" (per-request solver knobs, see
 //             service/solver_knobs.hpp; out-of-range values terminate
 //             the request with status "rejected"),
@@ -57,14 +54,10 @@
 //   force-cancelled a solve that stopped making progress.  A "sharded"
 //   map additionally reports "shards" (per-device sub-mappings stitched
 //   together) and "stitch_cost" (the weighted inter-device transfer term
-//   included in "objective"); so does a "portfolio" map whose answer
-//   came from a sharded lane on a multi-device board.  A "portfolio" map
-//   reports "winner" (the name of the lane whose proof is returned;
-//   absent when no lane proved), "lanes" (how many raced), and
-//   "lanes_cancelled" (losers stopped by the winner).  A map answered
-//   from the solution cache carries "cached":true (absent otherwise):
-//   the mapping replays a previously PROVED solve of a
-//   fingerprint-identical request, re-verified against this request's
+//   included in "objective").  A map answered from the solution cache
+//   carries "cached":true (absent otherwise): the mapping replays a
+//   previously PROVED solve of a fingerprint-identical request (same
+//   formulation and gap), re-verified against this request's
 //   design and board, so "objective" and "placements" are exactly what a
 //   fresh solve would return while "nodes"/"seconds" report the
 //   (near-zero) replay work.  Requests opt out with options.no_cache —
@@ -88,9 +81,7 @@
 //             "verify_fails":0,"insertions":3,"evictions":0,"entries":3},
 //    "transport":{"connections_opened":9,"connections_closed":1,
 //                 "requests":120,"bytes_received":48213,
-//                 "bytes_sent":391245,"responses_dropped":0,"shed":4},
-//    "portfolio":{"requests":2,"lanes_launched":6,"lanes_cancelled":4,
-//                 "winners":{"global":1,"complete":1}}}
+//                 "bytes_sent":391245,"responses_dropped":0,"shed":4}}
 //   stats is answered synchronously: request accounting plus the solver
 //   counters summed over every solve the service has completed.  The
 //   "transport" object appears only when the server fronts socket
@@ -107,7 +98,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -200,17 +190,6 @@ struct ServiceStats {
     std::int64_t shed = 0;
   };
   Transport transport;
-
-  /// Portfolio-racing counters (the `portfolio` wire object, emitted only
-  /// after at least one "portfolio"-formulation request ran).
-  struct Portfolio {
-    std::int64_t requests = 0;         // portfolio solves executed
-    std::int64_t lanes_launched = 0;   // lanes configured across them
-    std::int64_t lanes_cancelled = 0;  // losers stopped by a winner/parent
-    /// Wins per lane name — which configurations actually pay off.
-    std::map<std::string, std::int64_t> winners;
-  };
-  Portfolio portfolio;
 };
 
 /// A "map" request body.  Defaults chosen so an empty object is invalid
@@ -329,12 +308,6 @@ struct Response {
   // cost already included in `objective`.
   int shards = 0;
   double stitch_cost = 0.0;
-  // Portfolio-formulation extras (serialized only when lanes > 0): how
-  // many lanes raced, which lane's proof is returned ("" = no prover),
-  // and how many losers the winner cancelled.
-  int lanes = 0;
-  std::string winner;
-  int lanes_cancelled = 0;
   std::vector<PlacementEntry> placements;
 
   // Stats payload (has_stats == true on a `stats` response).

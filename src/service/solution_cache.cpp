@@ -273,12 +273,6 @@ bool replay(const CacheEntry& entry, const RequestFingerprint& key,
   return true;
 }
 
-std::size_t key_slot(mapping::Formulation formulation) {
-  return static_cast<std::size_t>(formulation == mapping::Formulation::kComplete
-                                      ? CachedFormulation::kComplete
-                                      : CachedFormulation::kGlobal);
-}
-
 }  // namespace
 
 RequestFingerprint fingerprint_request(const design::Design& design,
@@ -358,42 +352,34 @@ CacheLookup SolutionCache::lookup(const design::Design& design,
                                   double rel_gap,
                                   const std::string& request_id) {
   CacheLookup out;
-  const std::size_t own = key_slot(formulation);
-  out.keys[own] = fingerprint_request(
-      design, board, static_cast<CachedFormulation>(own), rel_gap);
-  // A portfolio's winner is filed under the winner's formulation, so a
-  // prior global OR complete proof satisfies the same gap contract.
-  if (formulation == mapping::Formulation::kPortfolio) {
-    out.keys[key_slot(mapping::Formulation::kComplete)] = fingerprint_request(
-        design, board, CachedFormulation::kComplete, rel_gap);
-  }
-  for (const std::optional<RequestFingerprint>& key : out.keys) {
-    if (!key.has_value()) continue;
-    const std::optional<CacheEntry> hit = find(key->full);
-    // A colliding fingerprint whose conflict relation or parameters over
-    // canonical ranks differ is another problem: a plain miss.  With both
-    // checks a collision can only cost a hit, never serve another answer.
-    if (!hit.has_value() || hit->conflicts_by_rank != key->conflicts_by_rank ||
-        hit->param_hash_by_rank != key->param_hash_by_rank) {
-      continue;
-    }
-    if (replay(*hit, *key, design, board, out)) return out;
+  if (formulation == mapping::Formulation::kSharded) return out;
+  out.key = fingerprint_request(design, board,
+                                formulation == mapping::Formulation::kComplete
+                                    ? CachedFormulation::kComplete
+                                    : CachedFormulation::kGlobal,
+                                rel_gap);
+  const RequestFingerprint& key = *out.key;
+  const std::optional<CacheEntry> hit = find(key.full);
+  // A colliding fingerprint whose conflict relation or parameters over
+  // canonical ranks differ is another problem: a plain miss.  With both
+  // checks a collision can only cost a hit, never serve another answer.
+  if (hit.has_value() && hit->conflicts_by_rank == key.conflicts_by_rank &&
+      hit->param_hash_by_rank == key.param_hash_by_rank) {
+    if (replay(*hit, key, design, board, out)) return out;
     // Poison the key (left in place it would fail on every resubmission)
     // and alert once per fingerprint, not once per replay.
-    erase(key->full);
+    erase(key.full);
     out.verify_failed = true;
     const std::scoped_lock lock(mutex_);
-    if (logged_poisoned_.insert(key->full).second) {
+    if (logged_poisoned_.insert(key.full).second) {
       GMM_LOG(kWarn) << "cache: poisoned entry evicted, fingerprint "
-                     << key->full.hi << ":" << key->full.lo
+                     << key.full.hi << ":" << key.full.lo
                      << " failed replay verification (request '"
                      << request_id << "'); answering with a cold solve";
     }
   }
-  // Near-miss warm re-solves stay a plain-global feature: a portfolio
-  // request races cold (its lanes' value is finding the fast prover).
+  // Near-miss warm re-solves are global only (SolveSpec's prior).
   if (formulation != mapping::Formulation::kGlobal) return out;
-  const RequestFingerprint& key = *out.keys[own];
   const std::optional<CacheEntry> prior = find_structural(key.structural);
   // Pins and the MIP start only carry over within one conflict relation;
   // a colliding structural key is a plain miss too.
@@ -414,35 +400,33 @@ void SolutionCache::insert_solved(const CacheLookup& lookup,
                                   const design::Design& design,
                                   const arch::Board& board,
                                   const mapping::SolveOutcome& outcome) {
-  // Near-miss answers stay out: their proof is for the pinned model.
-  if (!lookup.prior_type_of.empty() ||
-      outcome.formulation == mapping::Formulation::kSharded ||
+  // Sharded requests carry no key; near-miss answers stay out: their
+  // proof is for the pinned model.
+  if (!lookup.key.has_value() || !lookup.prior_type_of.empty() ||
       outcome.status != lp::SolveStatus::kOptimal ||
       outcome.mip.stop_reason != lp::SolveStatus::kOptimal ||
       !outcome.has_mapping()) {
     return;
   }
-  const std::optional<RequestFingerprint>& key =
-      lookup.keys[key_slot(outcome.formulation)];
-  if (!key.has_value()) return;
+  const RequestFingerprint& key = *lookup.key;
   CacheEntry entry;
-  entry.key = key->full;
-  entry.structural = key->structural;
+  entry.key = key.full;
+  entry.structural = key.structural;
   entry.num_structures = design.size();
   entry.num_types = board.num_types();
   entry.type_of_by_rank.assign(design.size(), -1);
   for (std::size_t d = 0; d < design.size(); ++d) {
     const int t = outcome.assignment.type_of[d];
     if (t < 0 || t >= static_cast<int>(board.num_types())) return;
-    entry.type_of_by_rank[key->structure_rank[d]] =
-        static_cast<int>(key->type_rank[static_cast<std::size_t>(t)]);
+    entry.type_of_by_rank[key.structure_rank[d]] =
+        static_cast<int>(key.type_rank[static_cast<std::size_t>(t)]);
   }
-  if (!renumber(outcome.detailed.fragments, key->structure_rank,
-                key->type_rank, entry.fragments_by_rank)) {
+  if (!renumber(outcome.detailed.fragments, key.structure_rank,
+                key.type_rank, entry.fragments_by_rank)) {
     return;
   }
-  entry.param_hash_by_rank = key->param_hash_by_rank;
-  entry.conflicts_by_rank = key->conflicts_by_rank;
+  entry.param_hash_by_rank = key.param_hash_by_rank;
+  entry.conflicts_by_rank = key.conflicts_by_rank;
   entry.objective = outcome.assignment.objective;
   entry.retries = outcome.retries;
   entry.solve_status = lp::to_string(outcome.status);

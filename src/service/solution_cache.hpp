@@ -42,7 +42,6 @@
 // disables the cache entirely.  Only this module knows canonical ranks.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -98,8 +97,7 @@ struct RequestFingerprint {
 
 /// Formulation tag folded into both fingerprints.  Sharded solves are
 /// never cached (their objective includes a stitch term the replay
-/// verifier cannot recompute), and a portfolio's answer is filed under
-/// its winning lane's formulation.
+/// verifier cannot recompute).
 enum class CachedFormulation : int {
   kGlobal = 0,
   kComplete = 1,
@@ -147,8 +145,8 @@ struct CacheLookup {
   /// Near-miss prior and pins (mapping::SolveSpec); empty = none.
   std::vector<int> prior_type_of;
   std::vector<std::size_t> pinned_structures;
-  /// The request's fingerprints by CachedFormulation.
-  std::array<std::optional<RequestFingerprint>, 2> keys;
+  /// The request's fingerprints; none for a formulation never cached.
+  std::optional<RequestFingerprint> key;
 };
 
 /// Thread-safe LRU store.  Lookups copy the entry out (a reference could
@@ -160,19 +158,18 @@ class SolutionCache {
 
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
 
-  /// Fingerprint a request and probe its formulation's key (a portfolio
-  /// probes the global and complete keys).  A hit is replayed and
-  /// certified; one that fails is evicted and logged once per fingerprint
-  /// (labelled with `request_id`).  A global miss gets a near-miss prior.
+  /// Fingerprint a request and probe its formulation's key (a sharded
+  /// request has none).  A hit is replayed and certified; one that fails
+  /// is evicted and logged once per fingerprint (labelled with
+  /// `request_id`).  A global miss gets a near-miss prior.
   [[nodiscard]] CacheLookup lookup(const design::Design& design,
                                    const arch::Board& board,
                                    mapping::Formulation formulation,
                                    double rel_gap,
                                    const std::string& request_id);
 
-  /// File a fresh answer under `lookup`'s key for the formulation that
-  /// produced it: only a PROVED (status and stop reason kOptimal),
-  /// unsharded, cold (no near-miss prior) answer is kept.
+  /// File a fresh answer under `lookup`'s key: only a PROVED (status and
+  /// stop reason kOptimal), cold (no near-miss prior) answer is kept.
   void insert_solved(const CacheLookup& lookup, const design::Design& design,
                      const arch::Board& board,
                      const mapping::SolveOutcome& outcome);

@@ -73,8 +73,7 @@ bool parse_solver_knobs(const Json& request, SolverKnobs& out,
   for (const auto& [key, value] : options->as_object()) {
     (void)value;
     if (key != "gap" && key != "max_nodes" && key != "time_limit_ms" &&
-        key != "threads" && key != "max_stored_bases" && key != "no_cache" &&
-        key != "lanes") {
+        key != "threads" && key != "max_stored_bases" && key != "no_cache") {
       reject_reason = "unknown solver knob '" + key + "' in 'options'";
       return false;
     }
@@ -117,12 +116,6 @@ bool parse_solver_knobs(const Json& request, SolverKnobs& out,
     }
     out.no_cache = no_cache->as_bool();
   }
-  std::int64_t lanes = 0;
-  if (!knob_int(*options, "lanes", 1, SolverKnobs::kMaxLanes, "[1, 6]",
-                present, lanes, reject_reason)) {
-    return false;
-  }
-  if (present) out.lanes = static_cast<int>(lanes);
   return true;
 }
 
@@ -157,7 +150,6 @@ Json solver_knobs_to_json(const SolverKnobs& knobs) {
     object["max_stored_bases"] = knobs.max_stored_bases;
   }
   if (knobs.no_cache) object["no_cache"] = true;
-  if (knobs.lanes >= 1) object["lanes"] = knobs.lanes;
   return Json(std::move(object));
 }
 

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "ilp/mip_solver.hpp"
-#include "mapping/solve.hpp"
 #include "service/json.hpp"
 
 namespace gmm::service {
@@ -55,11 +54,6 @@ struct SolverKnobs {
   /// cold, never insert the result.  A service-layer knob — it does not
   /// touch MipOptions (apply_solver_knobs ignores it).
   bool no_cache = false;
-  /// Portfolio lane count for the "portfolio" formulation, in
-  /// [1, kMaxLanes].  Rejected (not clamped) out of range; ignored by
-  /// the other formulations.  A service-layer knob — apply_solver_knobs
-  /// ignores it.  Unset (< 0) means mapping::kDefaultPortfolioLanes.
-  int lanes = -1;
 
   /// Accepted ranges (rejecting, not clamping, beyond them).
   static constexpr std::int64_t kMaxNodes = 50'000'000;
@@ -67,7 +61,6 @@ struct SolverKnobs {
   static constexpr double kMaxTimeLimitMs = 3'600'000.0;  // one hour
   static constexpr int kMaxThreads = 1024;
   static constexpr std::int64_t kMaxStoredBases = 1'048'576;
-  static constexpr int kMaxLanes = mapping::kMaxPortfolioLanes;
 };
 
 /// Parse the knobs a map request carries: the nested "options" object

@@ -45,8 +45,8 @@ TEST(BasisStats, RatesMatchHandComputation) {
 }
 
 TEST(BasisStats, AccumulateThenRate) {
-  // operator+= folds per-solve counters (pipeline retries, portfolio
-  // lanes); rates computed on the sum must equal rates on pooled data.
+  // operator+= folds per-solve counters (pipeline retries, shard
+  // candidates); rates computed on the sum must equal rates on pooled data.
   BasisCacheStats a;
   a.loaded = 2;
   a.cold_pops = 2;

@@ -4,8 +4,6 @@
 // examples/data at 1 thread:
 //  * for each formulation, mapping::solve returns the same status,
 //    objective, assignment and fragments as the direct engine call;
-//  * a 1-lane portfolio through solve() is bitwise-identical to solving
-//    its lane's formulation;
 //  * certify_mapping accepts every formulation's answer and rejects a
 //    wrong objective, a fragment moved onto an occupied port range, and
 //    an assignment that disagrees with its fragments;
@@ -105,7 +103,6 @@ TEST(Solve, GlobalMatchesThePipeline) {
         solve(s.design, s.board, spec_for(Formulation::kGlobal));
     expect_same_mapping(got, direct.status, direct.assignment,
                         direct.detailed, s.label);
-    EXPECT_EQ(got.formulation, Formulation::kGlobal);
     EXPECT_EQ(got.mip.nodes, direct.mip.nodes) << s.label;
     EXPECT_EQ(got.retries, direct.retries) << s.label;
     EXPECT_EQ(got.shard.stitch_cost, 0.0) << s.label;
@@ -141,7 +138,6 @@ TEST(Solve, CompleteMatchesTheCompleteMapper) {
         solve(s.design, s.board, spec_for(Formulation::kComplete));
     expect_same_mapping(got, direct.status, direct.assignment,
                         direct.detailed, s.label);
-    EXPECT_EQ(got.formulation, Formulation::kComplete);
     EXPECT_EQ(got.mip.nodes, direct.mip.nodes) << s.label;
     // The CostTable build is charged on top of the mapper's own effort.
     EXPECT_GE(got.effort.preprocess_seconds, direct.effort.preprocess_seconds);
@@ -156,7 +152,6 @@ TEST(Solve, ShardedMatchesTheShardMapper) {
         solve(s.design, s.board, spec_for(Formulation::kSharded));
     expect_same_mapping(got, direct.status, direct.assignment,
                         direct.detailed, s.label);
-    EXPECT_EQ(got.formulation, Formulation::kSharded);
     EXPECT_EQ(got.device_of, direct.device_of) << s.label;
     EXPECT_EQ(got.shard.shards, direct.stats.shards) << s.label;
     EXPECT_EQ(got.shard.stitch_cost, direct.stats.stitch_cost) << s.label;
@@ -164,42 +159,12 @@ TEST(Solve, ShardedMatchesTheShardMapper) {
   }
 }
 
-TEST(Solve, OneLanePortfolioIsBitwiseItsLane) {
-  for (const Sample& s : samples()) {
-    // The menu's first lane: the pipeline on one device, the sharded
-    // mapper on several.
-    const Formulation lane = s.board.multi_device() ? Formulation::kSharded
-                                                    : Formulation::kGlobal;
-    const SolveOutcome direct = solve(s.design, s.board, spec_for(lane));
-    SolveSpec spec = spec_for(Formulation::kPortfolio);
-    spec.lanes = 1;
-    const SolveOutcome race = solve(s.design, s.board, spec);
-
-    expect_same_mapping(race, direct.status, direct.assignment,
-                        direct.detailed, s.label);
-    EXPECT_EQ(race.formulation, lane) << s.label;
-    EXPECT_EQ(race.mip.nodes, direct.mip.nodes) << s.label;
-    EXPECT_EQ(race.effort.bnb_nodes, direct.effort.bnb_nodes) << s.label;
-    EXPECT_EQ(race.effort.lp_iterations, direct.effort.lp_iterations);
-    EXPECT_EQ(race.total_effort.bnb_nodes, direct.total_effort.bnb_nodes);
-    EXPECT_EQ(race.retries, direct.retries) << s.label;
-    EXPECT_EQ(race.device_of, direct.device_of) << s.label;
-    EXPECT_EQ(race.shard.shards, direct.shard.shards) << s.label;
-    EXPECT_EQ(race.shard.stitch_cost, direct.shard.stitch_cost) << s.label;
-    ASSERT_EQ(race.lanes.size(), 1u) << s.label;
-    EXPECT_EQ(race.winner, 0) << s.label;
-    EXPECT_EQ(race.winner_name, race.lanes[0].name);
-    EXPECT_EQ(race.lanes[0].kind, lane);
-    EXPECT_TRUE(race.lanes[0].proved) << s.label;
-  }
-}
-
 TEST(Solve, FormulationNamesRoundTrip) {
   for (const Formulation f :
-       {Formulation::kGlobal, Formulation::kComplete, Formulation::kSharded,
-        Formulation::kPortfolio}) {
+       {Formulation::kGlobal, Formulation::kComplete, Formulation::kSharded}) {
     EXPECT_EQ(parse_formulation(to_string(f)), f) << to_string(f);
   }
+  EXPECT_FALSE(parse_formulation("portfolio").has_value());
   EXPECT_FALSE(parse_formulation("mystery").has_value());
   EXPECT_FALSE(parse_formulation("").has_value());
 }
@@ -233,9 +198,8 @@ TEST_F(SolveFault, FailedCertificationKeepsNoMapping) {
 
 TEST(Certify, AcceptsEverySampleAnswer) {
   for (const Sample& s : samples()) {
-    for (const Formulation f :
-         {Formulation::kGlobal, Formulation::kComplete, Formulation::kSharded,
-          Formulation::kPortfolio}) {
+    for (const Formulation f : {Formulation::kGlobal, Formulation::kComplete,
+                                Formulation::kSharded}) {
       const SolveOutcome out = solve(s.design, s.board, spec_for(f));
       const std::string label = s.label + " " + to_string(f);
       ASSERT_TRUE(out.has_mapping()) << label;

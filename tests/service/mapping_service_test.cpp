@@ -7,11 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_io.hpp"
@@ -349,9 +348,10 @@ TEST(MappingService, StatsMethodReportsRequestAndSolverCounters) {
 
 TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   // A dual-device board via inline board_text: the sharded formulation
-  // must succeed, report its shard count, and bump the sharded solver
-  // counters; the same request against the single-device catalog board
-  // degenerates to the pipeline (shards == 1, stitch_cost == 0).
+  // must succeed, report its shard count and stitch cost, and bump the
+  // sharded solver counters; the same request against the single-device
+  // catalog board degenerates to the pipeline (shards == 1,
+  // stitch_cost == 0).
   const arch::Board dual =
       arch::split_across_devices(arch::single_fpga_board("XCV300", 4), 2);
   Collector out;
@@ -371,6 +371,7 @@ TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   EXPECT_EQ(multi.status, ResponseStatus::kOk);
   ASSERT_TRUE(multi.has_result);
   EXPECT_GE(multi.shards, 1);
+  EXPECT_GT(multi.stitch_cost, 0.0);
   EXPECT_FALSE(multi.placements.empty());
 
   const Response single = out.only("deg");
@@ -390,119 +391,40 @@ TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   EXPECT_DOUBLE_EQ(out.only("glob").objective, single.objective);
 }
 
-TEST(MappingService, PortfolioFormulationRacesAndReportsWinner) {
+TEST(MappingService, RemovedPortfolioFormulationAndLanesKnobNeverSolve) {
   Collector out;
   MappingService service({test_board()}, {.workers = 1}, out.sink());
-  Request race = map_request("race", quick_design_text());
-  race.map.formulation = mapping::Formulation::kPortfolio;
-  service.handle(race);
-  service.drain();
-
-  const Response r = out.only("race");
-  ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
-  ASSERT_TRUE(r.has_result);
-  EXPECT_EQ(r.solve_status, "optimal");
-  EXPECT_EQ(r.lanes, 3);  // the service default when the knob is unset
-  EXPECT_FALSE(r.winner.empty());
-  EXPECT_FALSE(r.placements.empty());
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.portfolio.requests, 1);
-  EXPECT_EQ(stats.portfolio.lanes_launched, 3);
-  std::int64_t winner_total = 0;
-  for (const auto& [name, count] : stats.portfolio.winners) {
-    winner_total += count;
+  JsonObject base;
+  base["v"] = 2;
+  base["method"] = std::string("map");
+  base["design_text"] = quick_design_text();
+  JsonObject race = base;
+  race["id"] = std::string("race");
+  race["formulation"] = std::string("portfolio");
+  JsonObject lanes = base;
+  lanes["id"] = std::string("lanes");
+  JsonObject knobs;
+  knobs["lanes"] = 2;
+  lanes["options"] = std::move(knobs);
+  for (const JsonObject& line : {race, lanes}) {
+    service.handle(parse_request_line(Json(line).dump()));
   }
-  EXPECT_EQ(winner_total, 1);
-  EXPECT_EQ(stats.portfolio.winners.count(r.winner), 1u);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
-            stats.accepted);
-}
-
-TEST(MappingService, PortfolioLanesKnobSetsTheLaneCount) {
-  Collector out;
-  MappingService service({test_board()}, {.workers = 1}, out.sink());
-  Request race = map_request("two", quick_design_text());
-  race.map.formulation = mapping::Formulation::kPortfolio;
-  race.map.knobs.lanes = 2;
-  service.handle(race);
   service.drain();
 
-  const Response r = out.only("two");
-  ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
-  EXPECT_EQ(r.lanes, 2);
-  EXPECT_EQ(service.stats().portfolio.lanes_launched, 2);
-}
-
-TEST(MappingService, PortfolioRepeatHitsTheCacheUnderTheWinnerKey) {
-  // The winner's proof is cached under the winner's FORMULATION key;
-  // a repeat portfolio request probes both the global and complete
-  // fingerprints, so it must replay regardless of which lane won.
-  Collector out;
-  MappingService service({test_board()}, {.workers = 1}, out.sink());
-  Request cold = map_request("cold", quick_design_text());
-  cold.map.formulation = mapping::Formulation::kPortfolio;
-  service.handle(cold);
-  Request warm = map_request("warm", quick_design_text());
-  warm.map.formulation = mapping::Formulation::kPortfolio;
-  service.handle(warm);
-  service.drain();
-
-  const Response first = out.only("cold");
-  ASSERT_EQ(first.status, ResponseStatus::kOk) << first.error;
-  EXPECT_FALSE(first.cached);
-  const Response second = out.only("warm");
-  ASSERT_EQ(second.status, ResponseStatus::kOk) << second.error;
-  EXPECT_TRUE(second.cached);
-  EXPECT_DOUBLE_EQ(second.objective, first.objective);
-
-  const ServiceStats stats = service.stats();
-  // Portfolio counters track RACES, and the cached replay never raced:
-  // only the cold request launched lanes.
-  EXPECT_EQ(stats.portfolio.requests, 1);
-  EXPECT_EQ(stats.portfolio.lanes_launched, 3);
-  EXPECT_EQ(stats.cache.hits, 1);
-  EXPECT_EQ(stats.cache.insertions, 1);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
-            stats.accepted);
-}
-
-/// A file of the sample data, as text.
-std::string example_text(const std::string& name) {
-  std::ifstream in(std::string(GMM_EXAMPLE_DATA_DIR) + "/" + name);
-  EXPECT_TRUE(in.good()) << name;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-TEST(MappingService, PortfolioOnADualFpgaBoardReportsTheStitchCost) {
-  // A portfolio on a multi-device board races sharded lanes; its answer
-  // must carry the stitch term inside its objective, exactly as the
-  // sharded formulation reports it.
-  Collector out;
-  MappingService service({test_board()}, {.workers = 1}, out.sink());
-  const std::string board = example_text("board_dual_fpga.txt");
-  const std::string design = example_text("design_fft.txt");
-  Request sharded = map_request("sharded", design);
-  sharded.map.board_text = board;
-  sharded.map.formulation = mapping::Formulation::kSharded;
-  service.handle(sharded);
-  Request race = map_request("race", design);
-  race.map.board_text = board;
-  race.map.formulation = mapping::Formulation::kPortfolio;
-  race.map.knobs.lanes = 1;
-  service.handle(race);
-  service.drain();
-
-  const Response a = out.only("sharded");
-  const Response b = out.only("race");
-  ASSERT_EQ(a.status, ResponseStatus::kOk) << a.error;
-  ASSERT_EQ(b.status, ResponseStatus::kOk) << b.error;
-  EXPECT_GT(a.stitch_cost, 0.0);
-  EXPECT_DOUBLE_EQ(b.objective, a.objective);
-  EXPECT_DOUBLE_EQ(b.stitch_cost, a.stitch_cost);
-  EXPECT_EQ(b.shards, a.shards);
+  for (const auto& [id, status] :
+       {std::pair{"race", ResponseStatus::kError},
+        std::pair{"lanes", ResponseStatus::kRejected}}) {
+    std::vector<Response> terminal;
+    for (const Response& r : out.snapshot()) {
+      if (r.id == id) terminal.push_back(r);
+    }
+    ASSERT_EQ(terminal.size(), 1u) << id;
+    EXPECT_EQ(terminal[0].status, status) << id;
+    EXPECT_NE(terminal[0].to_line().find("\"retryable\":false"),
+              std::string::npos)
+        << terminal[0].to_line();
+  }
+  EXPECT_EQ(service.stats().solves, 0);
 }
 
 class MappingServiceFault : public ::testing::Test {

@@ -193,51 +193,26 @@ TEST(Protocol, ParsesShardedFormulation) {
   EXPECT_NE(bad.error.find("sharded"), std::string::npos) << bad.error;
 }
 
-TEST(Protocol, ParsesPortfolioFormulation) {
-  const Request r = parse_request_line(
-      R"({"id":"p1","method":"map","design_text":"d",)"
-      R"("formulation":"portfolio","options":{"lanes":2}})");
-  ASSERT_EQ(r.method, Method::kMap);
-  EXPECT_EQ(r.map.formulation, mapping::Formulation::kPortfolio);
-  EXPECT_NE(r.map.formulation, mapping::Formulation::kSharded);
-  EXPECT_NE(r.map.formulation, mapping::Formulation::kComplete);
-  EXPECT_EQ(r.map.knobs.lanes, 2);
+TEST(Protocol, RemovedPortfolioFormulationAndLanesKnobAreRefused) {
+  // "portfolio" is not a formulation: the unknown-formulation error, which
+  // names the three there are, never a silent "global".
+  const Request race = parse_request_line(
+      R"({"v":2,"id":"p1","method":"map","design_text":"d",)"
+      R"("formulation":"portfolio"})");
+  EXPECT_EQ(race.method, Method::kInvalid);
+  EXPECT_EQ(race.id, "p1");
+  for (const char* name : {"'global'", "'complete'", "'sharded'"}) {
+    EXPECT_NE(race.error.find(name), std::string::npos) << race.error;
+  }
+  EXPECT_EQ(race.error.find("portfolio"), std::string::npos) << race.error;
 
-  // The unknown-formulation error names every accepted value.
-  const Request bad = parse_request_line(
-      R"({"id":"p2","method":"map","design_text":"d","formulation":"x"})");
-  EXPECT_EQ(bad.method, Method::kInvalid);
-  EXPECT_NE(bad.error.find("portfolio"), std::string::npos) << bad.error;
-}
-
-TEST(Protocol, PortfolioFieldsRoundTripOnMapResponses) {
-  Response r;
-  r.id = "p1";
-  r.method = "map";
-  r.status = ResponseStatus::kOk;
-  r.has_result = true;
-  r.solve_status = "optimal";
-  r.lanes = 3;
-  r.winner = "global-nocuts";
-  r.lanes_cancelled = 2;
-  const JsonParseResult parsed = parse_json(r.to_line());
-  ASSERT_TRUE(parsed.ok);
-  Response back;
-  ASSERT_TRUE(Response::from_json(parsed.value, back));
-  EXPECT_EQ(back.lanes, 3);
-  EXPECT_EQ(back.winner, "global-nocuts");
-  EXPECT_EQ(back.lanes_cancelled, 2);
-
-  // Non-portfolio responses stay clean of the fields.
-  Response plain;
-  plain.id = "p2";
-  plain.method = "map";
-  plain.status = ResponseStatus::kOk;
-  plain.has_result = true;
-  plain.solve_status = "optimal";
-  const std::string text = plain.to_line();
-  EXPECT_EQ(text.find("winner"), std::string::npos) << text;
-  EXPECT_EQ(text.find("lanes"), std::string::npos) << text;
+  // "lanes" is not a knob: a rejection that names it.
+  const Request lanes = parse_request_line(
+      R"({"v":2,"id":"p2","method":"map","design_text":"d",)"
+      R"("options":{"lanes":2}})");
+  ASSERT_EQ(lanes.method, Method::kMap);
+  EXPECT_NE(lanes.reject_reason.find("'lanes'"), std::string::npos)
+      << lanes.reject_reason;
 }
 
 TEST(Protocol, ShardFieldsRoundTripOnMapResponses) {

@@ -660,10 +660,24 @@ TEST(SolutionCacheService, DifferentGapContractsNeverShareEntries) {
   Request loose = map_request("loose", demo_design_text());
   loose.map.knobs.gap = 0.25;
   service.handle(loose);
+  // The formulation is part of the contract too: after the global proof a
+  // complete request solves, and its repeat replays the complete entry.
+  for (const char* id : {"complete", "complete-again"}) {
+    Request complete = map_request(id, demo_design_text());
+    complete.map.formulation = mapping::Formulation::kComplete;
+    service.handle(complete);
+  }
   service.drain();
 
   EXPECT_TRUE(out.only("tight").status == ResponseStatus::kOk);
   EXPECT_FALSE(out.only("loose").cached);  // different quality contract
+  const Response complete = out.only("complete");
+  ASSERT_EQ(complete.status, ResponseStatus::kOk) << complete.error;
+  EXPECT_FALSE(complete.cached);
+  const Response again = out.only("complete-again");
+  ASSERT_EQ(again.status, ResponseStatus::kOk) << again.error;
+  EXPECT_TRUE(again.cached);
+  EXPECT_DOUBLE_EQ(again.objective, complete.objective);
 }
 
 // ---- fingerprint collisions ----------------------------------------------

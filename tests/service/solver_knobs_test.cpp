@@ -209,36 +209,6 @@ TEST(SolverKnobs, UnsetSentinelKeepsUnlimitedBudget) {
   EXPECT_EQ(mip.time_limit_seconds, lp::kInf);  // only the sentinel keeps it
 }
 
-TEST(SolverKnobs, LanesKnobParsesAndRejectsOutOfRange) {
-  for (const char* text : {R"({"options":{"lanes":0}})",
-                           R"({"options":{"lanes":7}})",
-                           R"({"options":{"lanes":-1}})",
-                           R"({"options":{"lanes":2.5}})",
-                           R"({"options":{"lanes":"three"}})"}) {
-    SolverKnobs knobs;
-    std::string reason;
-    EXPECT_FALSE(parse_solver_knobs(parse_object(text), knobs, reason))
-        << text;
-  }
-  for (const int lanes : {1, 3, SolverKnobs::kMaxLanes}) {
-    SolverKnobs knobs;
-    std::string reason;
-    ASSERT_TRUE(parse_solver_knobs(
-        parse_object(R"({"options":{"lanes":)" + std::to_string(lanes) + "}}"),
-        knobs, reason))
-        << reason;
-    EXPECT_EQ(knobs.lanes, lanes);
-  }
-  SolverKnobs unset;
-  std::string reason;
-  ASSERT_TRUE(parse_solver_knobs(parse_object("{}"), unset, reason));
-  EXPECT_LT(unset.lanes, 1);  // unset: the service picks its default
-  SolverKnobs set;
-  set.lanes = 4;
-  EXPECT_NE(solver_knobs_to_json(set).dump().find("\"lanes\":4"),
-            std::string::npos);
-}
-
 TEST(SolverKnobs, ToJsonEmitsOnlySetKnobs) {
   EXPECT_EQ(solver_knobs_to_json(SolverKnobs{}).dump(), "{}");
   SolverKnobs knobs;
