@@ -88,7 +88,7 @@ CliqueAnalysis conflict_cliques(const Design& design,
   // the enumeration below would pivot over |P|^2 pairs at each of n
   // levels to emit it as {0, ..., n-1} — the same ascending vector built
   // here directly.
-  if (design.num_conflicts() == n * (n - 1) / 2 && max_cliques > 0) {
+  if (design.all_conflicting() && max_cliques > 0) {
     std::vector<std::size_t> all(n);
     std::iota(all.begin(), all.end(), std::size_t{0});
     analysis.cliques.push_back(std::move(all));

@@ -35,11 +35,13 @@ void Design::add_conflict(std::size_t a, std::size_t b) {
 }
 
 void Design::set_all_conflicting() {
+  const std::size_t n = size();
   pairs_.clear();
-  for (std::size_t a = 0; a < size(); ++a) {
-    for (std::size_t b = a + 1; b < size(); ++b) pairs_.emplace_back(a, b);
+  pairs_.reserve(pair_slot(0, n));
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) pairs_.emplace_back(a, b);
   }
-  rebuild_conflict_index();
+  conflict_index_.assign(pair_slot(0, n), true);
 }
 
 void Design::derive_conflicts_from_lifetimes() {

@@ -33,7 +33,10 @@ class Design {
   /// Declare that structures a and b may NOT share storage.
   void add_conflict(std::size_t a, std::size_t b);
   /// Declare every pair conflicting (no storage overlap anywhere); this is
-  /// the conservative default the Table-3 experiments use.
+  /// the conservative default the Table-3 experiments use.  The pairs come
+  /// in canonical order, (0,1), (0,2), ..., (1,2), ...: a complete
+  /// relation written by write_design reads back in this order whatever
+  /// order it was declared in.
   void set_all_conflicting();
   /// Derive the conflict set from the structures' lifetime intervals;
   /// structures without a lifetime conflict with everything.
@@ -45,6 +48,12 @@ class Design {
     return pairs_;
   }
   [[nodiscard]] std::size_t num_conflicts() const { return pairs_.size(); }
+  /// True when there are at least two structures and every pair of them
+  /// conflicts — the one-line `conflicts all` relation.  O(1): the pairs
+  /// are unique, so the count alone says the relation is complete.
+  [[nodiscard]] bool all_conflicting() const {
+    return size() >= 2 && pairs_.size() == size() * (size() - 1) / 2;
+  }
 
   /// Total bits over all structures.
   [[nodiscard]] std::int64_t total_bits() const;

@@ -142,6 +142,12 @@ void write_design(std::ostream& out, const Design& design) {
     }
     out << "\n";
   }
+  // A complete relation is one line, not n(n-1)/2: the paper's designs
+  // are all-conflicting, and pairwise they dominate a request's size.
+  if (design.all_conflicting()) {
+    out << "conflicts all\n";
+    return;
+  }
   for (const auto& [a, b] : design.conflict_pairs()) {
     out << "conflict " << design.at(a).name << " " << design.at(b).name
         << "\n";

@@ -8,6 +8,11 @@
 //   conflict <name_a> <name_b>
 //   conflicts all               # every pair conflicts
 //   conflicts lifetimes         # derive from lifetime intervals
+//
+// write_design emits `conflicts all` for a complete relation
+// (Design::all_conflicting) and one `conflict` line per pair otherwise,
+// in the design's pair order; a complete relation therefore reads back
+// in Design::set_all_conflicting's canonical order.
 #pragma once
 
 #include <iosfwd>

@@ -102,8 +102,7 @@ DetailedMapping map_detailed(const design::Design& design,
 
   // On an all-conflicting design (the paper's) no block can be shared, so
   // the overlap pass is skipped and no block is recorded for it.
-  const bool overlap = options.allow_overlap &&
-                       design.num_conflicts() < num_ds * (num_ds - 1) / 2;
+  const bool overlap = options.allow_overlap && !design.all_conflicting();
 
   for (std::size_t t = 0; t < board.num_types(); ++t) {
     const arch::BankType& type = board.type(t);

@@ -173,9 +173,18 @@ Certificate certify_mapping(const design::Design& design,
                             double stitch_cost, const CostWeights& weights) {
   Certificate out{validate_mapping(design, board, assignment, mapping)};
   if (!out.ok()) return out;
-  out.objective = CostTable(design, board, weights)
-                      .assignment_objective(assignment.type_of) +
-                  stitch_cost;
+  // Price only the n assigned plans, not the n x T table, summed in d
+  // order so the value is CostTable::assignment_objective's to the bit.
+  // validate_mapping has checked every type_of[d] is a board type.
+  double total = 0.0;
+  for (std::size_t d = 0; d < design.size(); ++d) {
+    const arch::BankType& type =
+        board.type(static_cast<std::size_t>(assignment.type_of[d]));
+    total += assignment_cost(design.at(d), type,
+                             plan_placement(design.at(d), type))
+                 .total(weights);
+  }
+  out.objective = total + stitch_cost;
   if (std::abs(out.objective - assignment.objective) >
       1e-6 * std::max(1.0, std::abs(assignment.objective))) {
     out.problems.push_back(

@@ -40,7 +40,8 @@ struct Certificate {
 /// Certify an answer: the mapping is legal (validate_mapping) and
 /// `assignment.objective` equals CostTable::assignment_objective plus
 /// `stitch_cost` (a sharded mapping's inter-device transfer term) within
-/// 1e-6 relative.
+/// 1e-6 relative.  The recompute prices only the n assigned (d, type_of[d])
+/// plans, and `objective` is bit-identical to the table's value.
 [[nodiscard]] Certificate certify_mapping(const design::Design& design,
                                           const arch::Board& board,
                                           const GlobalAssignment& assignment,

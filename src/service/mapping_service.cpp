@@ -216,8 +216,13 @@ void MappingService::handle(const Request& request) {
       return;
     }
     case Method::kInvalid: {
+      {
+        const std::scoped_lock lock(mutex_);
+        ++stats_.protocol_errors;
+      }
       Response err;
       err.id = request.id;
+      err.method = request.named_method;
       err.v = request.version;
       err.status = ResponseStatus::kError;
       err.error = request.error.empty() ? "invalid request" : request.error;

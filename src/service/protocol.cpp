@@ -50,9 +50,14 @@ Request parse_request_line(const std::string& line) {
     request.error = "request must be a json object";
     return request;
   }
-  // Recover the id and version first so even a malformed request gets a
-  // correlated, version-echoing error response.
+  // Recover the id, method and version first so even a malformed request
+  // gets a correlated, version-echoing error response.
   request.id = object.get_string("id");
+  const std::string method = object.get_string("method");
+  if (method == "map" || method == "cancel" || method == "ping" ||
+      method == "stats" || method == "shutdown") {
+    request.named_method = method;
+  }
   const Json* version = object.find("v");
   if (version != nullptr) {
     if (!version->is_number() || version->as_number() < 1 ||
@@ -66,7 +71,6 @@ Request parse_request_line(const std::string& line) {
     request.version = static_cast<int>(version->as_number());
   }
 
-  const std::string method = object.get_string("method");
   if (method == "map") {
     static constexpr std::array<std::string_view, 12> kKnown = {
         "v",           "id",          "method",  "board",
@@ -214,6 +218,7 @@ Json Response::to_json() const {
     object["stalled"] = stats.stalled;
     object["shed_overload"] = stats.shed_overload;
     object["unknown_field_requests"] = stats.unknown_field_requests;
+    object["protocol_errors"] = stats.protocol_errors;
     JsonObject solver;
     solver["solves"] = stats.solves;
     solver["nodes"] = stats.nodes;
@@ -337,6 +342,7 @@ bool Response::from_json(const Json& value, Response& out) {
     out.stats.stalled = count("stalled");
     out.stats.shed_overload = count("shed_overload");
     out.stats.unknown_field_requests = count("unknown_field_requests");
+    out.stats.protocol_errors = count("protocol_errors");
     const Json* solver = value.find("solver");
     if (solver != nullptr && solver->is_object()) {
       const auto scount = [solver](const char* key) {

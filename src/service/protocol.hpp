@@ -9,7 +9,10 @@
 // counter `unknown_field_requests`), so a misspelled field shows up in
 // monitoring instead of vanishing; unknown keys INSIDE "options" are
 // rejected outright — a silently dropped solver knob would return an
-// answer under the wrong quality contract.
+// answer under the wrong quality contract.  A line that fails to parse or
+// validate is answered with status "error", echoing the "method" it named
+// when that is a protocol method (none for a line that is not JSON), and
+// counted in `protocol_errors`.
 //
 // Requests:
 //   {"v":2,"id":"r1","method":"map","design_text":"...",
@@ -71,7 +74,7 @@
 //
 //   {"id":"s1","method":"stats","status":"ok","accepted":3,"rejected":0,
 //    "completed":3,"cancelled":0,"timed_out":1,"stalled":0,
-//    "shed_overload":0,"unknown_field_requests":0,
+//    "shed_overload":0,"unknown_field_requests":0,"protocol_errors":0,
 //    "solver":{"solves":3,"nodes":120,"lp_iterations":987,
 //              "sharded_requests":1,"shard_solves":4,"certify_fails":0,
 //              "bases_stored":64,"bases_loaded":60,"bases_evicted":0,
@@ -139,6 +142,9 @@ struct ServiceStats {
   /// Requests (any method) that carried at least one unknown top-level
   /// field — ignored for compatibility, counted for monitoring.
   std::int64_t unknown_field_requests = 0;
+  /// Lines answered with a protocol error (Method::kInvalid): not JSON,
+  /// an unknown method, or a request that failed validation.
+  std::int64_t protocol_errors = 0;
 
   // Aggregate solver counters, summed over completed solves (requests
   // that reached the solver; rejected/queue-cancelled ones never do).
@@ -213,6 +219,10 @@ struct Request {
   std::string target;  // cancel: the id to cancel
   MapRequest map;      // valid when method == kMap
   std::string error;   // parse failure message when method == kInvalid
+  /// The protocol method the line named ("map", "cancel", ...), kept
+  /// when validation fails so the error response can echo it; "" when
+  /// the line named none.
+  std::string named_method;
   /// Structurally valid map request whose solver knobs were out of
   /// range: the service terminates it with status "rejected" and this
   /// message instead of solving under a contract the client never asked
@@ -223,8 +233,9 @@ struct Request {
 };
 
 /// Parse one protocol line.  Never throws; malformed input yields
-/// Method::kInvalid with `error` set (and `id` recovered when possible so
-/// the error response can still be correlated).
+/// Method::kInvalid with `error` set (and `id` and `named_method`
+/// recovered when possible so the error response can still be
+/// correlated).
 Request parse_request_line(const std::string& line);
 
 enum class ResponseStatus : std::uint8_t {

@@ -94,20 +94,31 @@ Adjacency csr_adjacency(const design::Design& design) {
 /// costs O(n + E) with no sort.  After a few rounds two structures hash
 /// equal only when their local graph neighborhoods are indistinguishable
 /// to the refinement — which makes the hash multiset invariant under any
-/// reordering/renaming of the design.
+/// reordering/renaming of the design.  A complete graph (`adj` null)
+/// needs no adjacency: every structure's neighbors are all the others, so
+/// their sum is the round's total minus its own term — the same bits the
+/// walk would add up, in O(n) per round.
 std::vector<std::uint64_t> wl_refine(std::vector<std::uint64_t> hash,
-                                     const Adjacency& adj) {
+                                     const Adjacency* adj) {
   constexpr int kRounds = 3;
   const std::size_t n = hash.size();
   std::vector<std::uint64_t> mixed(n);
   for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t d = 0; d < n; ++d) mixed[d] = mix64(hash[d]);
+    std::uint64_t total = 0;
     for (std::size_t d = 0; d < n; ++d) {
-      std::uint64_t peers = 0;
-      for (std::size_t k = adj.offset[d]; k < adj.offset[d + 1]; ++k) {
-        peers += mixed[adj.peers[k]];
+      mixed[d] = mix64(hash[d]);
+      total += mixed[d];
+    }
+    for (std::size_t d = 0; d < n; ++d) {
+      std::uint64_t peers = total - mixed[d];
+      std::size_t degree = n - 1;
+      if (adj != nullptr) {
+        peers = 0;
+        for (std::size_t k = adj->offset[d]; k < adj->offset[d + 1]; ++k) {
+          peers += mixed[adj->peers[k]];
+        }
+        degree = adj->offset[d + 1] - adj->offset[d];
       }
-      const std::size_t degree = adj.offset[d + 1] - adj.offset[d];
       hash[d] = combine(combine(mixed[d], degree), peers);
     }
   }
@@ -183,21 +194,46 @@ std::uint64_t assemble_lane(std::uint64_t seed,
 /// plus the wrapping sum of per-edge hashes.  An edge hashes as the mix of
 /// its endpoints' summed hashes: symmetric in the endpoints, and the mix
 /// keeps the fold from collapsing to sum(degree * hash), which the node
-/// multiset already determines.
+/// multiset already determines.  A complete graph folds its size alone:
+/// n(n-1)/2 edges on n nodes can only be every pair.
 Fingerprint assemble(const std::vector<std::uint64_t>& wl,
-                     const std::vector<std::pair<std::size_t, std::size_t>>&
-                         conflict_pairs,
-                     std::uint64_t board, int formulation, double rel_gap) {
+                     const design::Design& design, std::uint64_t board,
+                     int formulation, double rel_gap) {
   std::vector<std::uint64_t> nodes = wl;
   std::sort(nodes.begin(), nodes.end());
   std::uint64_t edge_sum = 0;
-  for (const auto& [a, b] : conflict_pairs) edge_sum += mix64(wl[a] + wl[b]);
+  if (!design.all_conflicting()) {
+    for (const auto& [a, b] : design.conflict_pairs()) {
+      edge_sum += mix64(wl[a] + wl[b]);
+    }
+  }
   Fingerprint fp;
-  fp.hi = assemble_lane(0x8badf00ddeadbeefULL, nodes, conflict_pairs.size(),
+  fp.hi = assemble_lane(0x8badf00ddeadbeefULL, nodes, design.num_conflicts(),
                         edge_sum, board, formulation, rel_gap);
-  fp.lo = assemble_lane(0x0123456789abcdefULL, nodes, conflict_pairs.size(),
+  fp.lo = assemble_lane(0x0123456789abcdefULL, nodes, design.num_conflicts(),
                         edge_sum, board, formulation, rel_gap);
   return fp;
+}
+
+/// The conflict relation over canonical ranks (RequestFingerprint::
+/// conflicts_by_rank).  A complete relation sets every bit, a word at a
+/// time, and leaves the last word's tail clear.
+std::vector<std::uint64_t> conflicts_by_rank(
+    const design::Design& design, const std::vector<std::size_t>& rank) {
+  const std::size_t n = design.size();
+  const std::size_t bits = n * (n - 1) / 2;  // 0 for n = 0 too
+  std::vector<std::uint64_t> out((bits + 63) / 64, 0);
+  if (design.all_conflicting()) {
+    std::fill(out.begin(), out.end(), ~std::uint64_t{0});
+    if (bits % 64 != 0) out.back() = (std::uint64_t{1} << (bits % 64)) - 1;
+    return out;
+  }
+  for (const auto& [a, b] : design.conflict_pairs()) {
+    const auto [lo, hi] = std::minmax(rank[a], rank[b]);
+    const std::size_t bit = hi * (hi - 1) / 2 + lo;
+    out[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+  return out;
 }
 
 /// Inverse of a rank permutation: the index holding each rank.
@@ -280,7 +316,10 @@ RequestFingerprint fingerprint_request(const design::Design& design,
                                        CachedFormulation formulation,
                                        double rel_gap) {
   const std::size_t n = design.size();
-  const Adjacency adjacency = csr_adjacency(design);
+  // A complete relation refines without one (see wl_refine).
+  const bool complete = design.all_conflicting();
+  const Adjacency adjacency = complete ? Adjacency{} : csr_adjacency(design);
+  const Adjacency* adj = complete ? nullptr : &adjacency;
 
   std::vector<std::uint64_t> full_seed(n);
   std::vector<std::uint64_t> structural_seed(n);
@@ -288,9 +327,8 @@ RequestFingerprint fingerprint_request(const design::Design& design,
     full_seed[d] = param_hash_full(design.at(d));
     structural_seed[d] = param_hash_structural(design.at(d));
   }
-  const std::vector<std::uint64_t> fwl = wl_refine(full_seed, adjacency);
-  const std::vector<std::uint64_t> swl =
-      wl_refine(structural_seed, adjacency);
+  const std::vector<std::uint64_t> fwl = wl_refine(full_seed, adj);
+  const std::vector<std::uint64_t> swl = wl_refine(structural_seed, adj);
 
   std::vector<std::uint64_t> th(board.num_types());
   for (std::size_t t = 0; t < board.num_types(); ++t) {
@@ -300,9 +338,8 @@ RequestFingerprint fingerprint_request(const design::Design& design,
   const int form = static_cast<int>(formulation);
 
   RequestFingerprint out;
-  out.full = assemble(fwl, design.conflict_pairs(), bh, form, rel_gap);
-  out.structural =
-      assemble(swl, design.conflict_pairs(), bh, form, rel_gap);
+  out.full = assemble(fwl, design, bh, form, rel_gap);
+  out.structural = assemble(swl, design, bh, form, rel_gap);
 
   // Canonical structure order: traffic-excluded keys FIRST so the ranks
   // of a traffic-mutated resubmission still align with the cached entry;
@@ -324,13 +361,7 @@ RequestFingerprint fingerprint_request(const design::Design& design,
     out.structure_rank[order[rank]] = rank;
     out.param_hash_by_rank[rank] = full_seed[order[rank]];
   }
-  out.conflicts_by_rank.assign((n * (n - 1) / 2 + 63) / 64, 0);
-  for (const auto& [a, b] : design.conflict_pairs()) {
-    const auto [lo, hi] =
-        std::minmax(out.structure_rank[a], out.structure_rank[b]);
-    const std::size_t bit = hi * (hi - 1) / 2 + lo;
-    out.conflicts_by_rank[bit / 64] |= std::uint64_t{1} << (bit % 64);
-  }
+  out.conflicts_by_rank = conflicts_by_rank(design, out.structure_rank);
 
   std::vector<std::size_t> type_order(board.num_types());
   std::iota(type_order.begin(), type_order.end(), std::size_t{0});

@@ -3,13 +3,16 @@
 // field-by-field.  Covers empty design names (previously renamed
 // "unnamed" on the way through), optional read/write footprints,
 // lifetime intervals, and all three conflict declarations (explicit
-// pairs, all-pairs, lifetime-derived — the latter two round-trip as the
-// explicit pair list they expand to).
+// pairs, all-pairs, lifetime-derived).  A relation that is not complete
+// round-trips as the explicit pair list, in first-mention order; a
+// complete one, however declared, is written as `conflicts all` and reads
+// back in Design::set_all_conflicting's canonical pair order.
 #include "design/design_io.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "design/design.hpp"
@@ -63,6 +66,16 @@ Design random_design(support::Rng& rng) {
   return design;
 }
 
+/// Every pair (a, b), a < b, in set_all_conflicting's order.
+std::vector<std::pair<std::size_t, std::size_t>> canonical_pairs(
+    std::size_t n) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) pairs.emplace_back(a, b);
+  }
+  return pairs;
+}
+
 void expect_designs_equal(const Design& a, const Design& b,
                           std::uint64_t seed) {
   EXPECT_EQ(a.name(), b.name()) << "seed " << seed;
@@ -76,6 +89,12 @@ void expect_designs_equal(const Design& a, const Design& b,
     EXPECT_EQ(x.reads, y.reads) << "seed " << seed;
     EXPECT_EQ(x.writes, y.writes) << "seed " << seed;
     EXPECT_EQ(x.lifetime, y.lifetime) << "seed " << seed << " segment " << d;
+  }
+  if (a.all_conflicting()) {
+    EXPECT_TRUE(b.all_conflicting()) << "seed " << seed;
+    EXPECT_EQ(b.conflict_pairs(), canonical_pairs(a.size()))
+        << "seed " << seed;
+    return;
   }
   // Conflicts round-trip as the normalized (a < b, first-mention order)
   // pair list, exactly.
@@ -91,6 +110,15 @@ TEST(DesignIoProperty, WriteParseRoundTripsRandomDesigns) {
     ASSERT_TRUE(parsed.ok)
         << "seed " << seed << ": " << parsed.error << "\n" << text;
     expect_designs_equal(design, parsed.design, seed);
+    // A complete relation is the one `conflicts all` line; any other
+    // relation is spelled out pair by pair.
+    EXPECT_EQ(text.find("conflicts all") != std::string::npos,
+              design.all_conflicting())
+        << "seed " << seed << "\n" << text;
+    if (design.all_conflicting()) {
+      EXPECT_EQ(text.find("conflict "), std::string::npos)
+          << "seed " << seed << "\n" << text;
+    }
     // Idempotence: a second trip produces byte-identical text.
     EXPECT_EQ(design_to_string(parsed.design), text) << "seed " << seed;
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace gmm::design {
 namespace {
 
@@ -69,6 +73,41 @@ conflict big tiny
     EXPECT_EQ(second.design.at(i).lifetime, first.design.at(i).lifetime);
   }
   EXPECT_EQ(second.design.conflict_pairs(), first.design.conflict_pairs());
+}
+
+TEST(DesignIo, CompleteRelationWritesOneLineInCanonicalOrder) {
+  Design design("tri");
+  for (const char* name : {"a", "b", "c"}) {
+    DataStructure ds;
+    ds.name = name;
+    ds.depth = 8;
+    ds.width = 8;
+    design.add(ds);
+  }
+  design.add_conflict(0, 2);
+  design.add_conflict(0, 1);
+  // Two of three pairs: spelled out in declaration order.
+  EXPECT_EQ(design_to_string(design),
+            "design tri\n"
+            "segment a depth 8 width 8\n"
+            "segment b depth 8 width 8\n"
+            "segment c depth 8 width 8\n"
+            "conflict a c\n"
+            "conflict a b\n");
+  design.add_conflict(1, 2);
+  const std::string text = design_to_string(design);
+  EXPECT_EQ(text,
+            "design tri\n"
+            "segment a depth 8 width 8\n"
+            "segment b depth 8 width 8\n"
+            "segment c depth 8 width 8\n"
+            "conflicts all\n");
+  const DesignParseResult parsed = parse_design_string(text);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const std::vector<std::pair<std::size_t, std::size_t>> canonical = {
+      {0, 1}, {0, 2}, {1, 2}};
+  EXPECT_EQ(parsed.design.conflict_pairs(), canonical);
+  EXPECT_EQ(design_to_string(parsed.design), text);
 }
 
 TEST(DesignIo, RejectsDuplicateSegment) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace gmm::design {
 namespace {
 
@@ -60,6 +64,36 @@ TEST(Design, SetAllConflicting) {
   for (std::size_t a = 0; a < 5; ++a) {
     for (std::size_t b = a + 1; b < 5; ++b) {
       EXPECT_TRUE(design.conflicts(a, b));
+    }
+  }
+}
+
+TEST(Design, AllConflictingNeedsEveryPairOfAtLeastTwo) {
+  Design design;
+  design.set_all_conflicting();
+  EXPECT_FALSE(design.all_conflicting());  // no structures, no pair
+  design.add(ds("a", 8, 8));
+  design.set_all_conflicting();
+  EXPECT_FALSE(design.all_conflicting());  // one structure, no pair
+  design.add(ds("b", 8, 8));
+  EXPECT_FALSE(design.all_conflicting());
+  design.add_conflict(1, 0);
+  EXPECT_TRUE(design.all_conflicting());
+  design.add(ds("c", 8, 8));  // a newcomer conflicts with nothing yet
+  EXPECT_FALSE(design.all_conflicting());
+  design.add_conflict(2, 0);
+  EXPECT_FALSE(design.all_conflicting());
+  design.add_conflict(1, 2);
+  EXPECT_TRUE(design.all_conflicting());
+  // set_all_conflicting lists the pairs in canonical order and indexes
+  // every one of them.
+  design.set_all_conflicting();
+  const std::vector<std::pair<std::size_t, std::size_t>> canonical = {
+      {0, 1}, {0, 2}, {1, 2}};
+  EXPECT_EQ(design.conflict_pairs(), canonical);
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t b = 0; b < 3; ++b) {
+      EXPECT_EQ(design.conflicts(a, b), a != b);
     }
   }
 }

@@ -6,7 +6,8 @@
 //    objective, assignment and fragments as the direct engine call;
 //  * certify_mapping accepts every formulation's answer and rejects a
 //    wrong objective, a fragment moved onto an occupied port range, and
-//    an assignment that disagrees with its fragments;
+//    an assignment that disagrees with its fragments, and its objective
+//    recompute equals CostTable::assignment_objective bit for bit;
 //  * an answer that fails certification (injected through the
 //    mapping.certify:corrupt fault point) leaves solve() with no mapping.
 #include "mapping/solve.hpp"
@@ -14,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -26,6 +29,9 @@
 #include "mapping/remap.hpp"
 #include "mapping/validate.hpp"
 #include "support/fault.hpp"
+#include "support/rng.hpp"
+#include "workload/table3_suite.hpp"
+#include "workload/workload_gen.hpp"
 
 #ifndef GMM_EXAMPLE_DATA_DIR
 #define GMM_EXAMPLE_DATA_DIR "examples/data"
@@ -214,6 +220,52 @@ TEST(Certify, AcceptsEverySampleAnswer) {
           << label;
     }
   }
+}
+
+TEST(Certify, ObjectiveIsTheCostTablesToTheBit) {
+  // certify_mapping prices only the n assigned plans; its sum must be the
+  // full table's, bit for bit, under any weights.
+  const auto& points = workload::table3_points();
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    support::Rng rng(seed);
+    const workload::Table3Instance inst =
+        workload::build_instance(points[seed % 3], seed);
+    workload::DesignGenOptions gen;
+    gen.num_segments = rng.uniform_int(4, 14);
+    gen.seed = seed;
+    gen.all_conflicting = rng.bernoulli(0.5);
+    gen.paper_access_model = rng.bernoulli(0.5);
+    const design::Design design = workload::generate_design(inst.board, gen);
+    const SolveOutcome out =
+        solve(design, inst.board, spec_for(Formulation::kGlobal));
+    if (!out.has_mapping()) continue;
+    ++checked;
+    std::vector<CostWeights> weights = {
+        CostWeights{}, normalized_weights(design, inst.board)};
+    for (int k = 0; k < 3; ++k) {
+      weights.push_back({.latency = rng.uniform_real() * 4.0,
+                         .pin_delay = rng.uniform_real() * 4.0,
+                         .pin_io = rng.uniform_real() * 4.0});
+    }
+    for (const CostWeights& w : weights) {
+      const double table = CostTable(design, inst.board, w)
+                               .assignment_objective(out.assignment.type_of);
+      const Certificate certificate = certify_mapping(
+          design, inst.board, out.assignment, out.detailed, 0.0, w);
+      // A weight other than the solve's own reports a mismatch, but the
+      // recompute is still the table's.
+      EXPECT_TRUE(certificate.problems.empty() ||
+                  certificate.problems.front().find("objective") !=
+                      std::string::npos)
+          << "seed " << seed << ": " << certificate.problems.front();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(certificate.objective),
+                std::bit_cast<std::uint64_t>(table))
+          << "seed " << seed << ": " << certificate.objective << " vs "
+          << table;
+    }
+  }
+  EXPECT_GE(checked, 30);
 }
 
 /// The pipeline's answer for the FFT sample on the single-device board.

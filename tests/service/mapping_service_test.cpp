@@ -427,6 +427,46 @@ TEST(MappingService, RemovedPortfolioFormulationAndLanesKnobNeverSolve) {
   EXPECT_EQ(service.stats().solves, 0);
 }
 
+TEST(MappingService, ProtocolErrorsEchoTheirMethodAndAreCounted) {
+  Collector out;
+  MappingService service({test_board()}, {.workers = 1}, out.sink());
+  // A map line that fails validation answers as a map: a client matching
+  // terminal responses by id and method finds it.
+  service.handle(parse_request_line(
+      R"({"v":2,"id":"p1","method":"map","design_text":"d",)"
+      R"("formulation":"portfolio"})"));
+  const Response error = out.only("p1");
+  EXPECT_EQ(error.status, ResponseStatus::kError);
+  EXPECT_EQ(error.v, 2);
+  EXPECT_FALSE(error.error.empty());
+  EXPECT_NE(error.to_line().find("\"method\":\"map\""), std::string::npos)
+      << error.to_line();
+  EXPECT_EQ(service.stats().protocol_errors, 1);
+
+  // A line that is not JSON names no method, and counts all the same.
+  service.handle(parse_request_line("not json"));
+  const std::vector<Response> responses = out.snapshot();
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[1].status, ResponseStatus::kError);
+  EXPECT_TRUE(responses[1].method.empty());
+  EXPECT_EQ(responses[1].to_line().find("\"method\""), std::string::npos)
+      << responses[1].to_line();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.protocol_errors, 2);
+  // Neither line was a request the service admitted or refused.
+  EXPECT_EQ(stats.accepted, 0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.solves, 0);
+  Request snapshot;
+  snapshot.method = Method::kStats;
+  snapshot.id = "s1";
+  service.handle(snapshot);
+  EXPECT_NE(out.snapshot().back().to_line().find("\"protocol_errors\":2"),
+            std::string::npos)
+      << out.snapshot().back().to_line();
+}
+
 class MappingServiceFault : public ::testing::Test {
  protected:
   void TearDown() override { support::global_faults().disarm(); }

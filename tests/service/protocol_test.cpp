@@ -148,6 +148,38 @@ TEST(Protocol, ErrorKeepsIdForCorrelation) {
   const Request r = parse_request_line(R"({"id":"r9","method":"frobnicate"})");
   EXPECT_EQ(r.method, Method::kInvalid);
   EXPECT_EQ(r.id, "r9");
+  // Not a protocol method: nothing to echo.
+  EXPECT_EQ(r.named_method, "");
+}
+
+TEST(Protocol, InvalidLinesKeepTheMethodTheyNamed) {
+  // A line that names a protocol method keeps it through any validation
+  // failure, so its error response can echo "method" beside "id".
+  for (const auto& [line, method] : {
+           std::pair{R"({"v":2,"id":"p1","method":"map","design_text":"d",)"
+                     R"("formulation":"portfolio"})",
+                     "map"},
+           std::pair{R"({"id":"p2","method":"map"})", "map"},
+           std::pair{R"({"v":7,"id":"p3","method":"map","design_text":"d"})",
+                     "map"},
+           std::pair{R"({"id":"p4","method":"map","design_text":"d",)"
+                     R"("deadline_ms":-1})",
+                     "map"},
+           std::pair{R"({"id":"c1","method":"cancel"})", "cancel"},
+           std::pair{R"({"v":"x","id":"s1","method":"stats"})", "stats"},
+       }) {
+    const Request r = parse_request_line(line);
+    EXPECT_EQ(r.method, Method::kInvalid) << line;
+    EXPECT_FALSE(r.error.empty()) << line;
+    EXPECT_EQ(r.named_method, method) << line;
+  }
+  for (const char* line : {"not json", "[1,2]", "{}", R"({"method":7})"}) {
+    const Request r = parse_request_line(line);
+    EXPECT_EQ(r.method, Method::kInvalid) << line;
+    EXPECT_EQ(r.named_method, "") << line;
+  }
+  EXPECT_EQ(parse_request_line(R"({"id":"p","method":"ping"})").named_method,
+            "ping");
 }
 
 TEST(Protocol, ParsesControlMethods) {
@@ -303,6 +335,7 @@ TEST(Protocol, TransportStatsRoundTrip) {
   r.status = ResponseStatus::kOk;
   r.has_stats = true;
   r.stats.unknown_field_requests = 5;
+  r.stats.protocol_errors = 3;
   r.stats.transport.connections_opened = 9;
   r.stats.transport.connections_closed = 4;
   r.stats.transport.requests = 120;
@@ -317,6 +350,7 @@ TEST(Protocol, TransportStatsRoundTrip) {
   ASSERT_TRUE(Response::from_json(parsed.value, back));
   ASSERT_TRUE(back.has_stats);
   EXPECT_EQ(back.stats.unknown_field_requests, 5);
+  EXPECT_EQ(back.stats.protocol_errors, 3);
   EXPECT_EQ(back.stats.transport.connections_opened, 9);
   EXPECT_EQ(back.stats.transport.connections_closed, 4);
   EXPECT_EQ(back.stats.transport.requests, 120);

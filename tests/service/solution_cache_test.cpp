@@ -8,7 +8,10 @@
 // formulation, gap).  The traffic-excluded STRUCTURAL fingerprint is
 // additionally invariant under traffic mutation, which is what near-miss
 // detection keys on.  Fixed graph pairs pin the refinement's additive
-// neighbor fold and its edge term.
+// neighbor fold and its edge term.  A complete relation, which refines
+// and folds without its pairs, still separates from the same design less
+// one edge, sets exactly its n(n-1)/2 relation bits, and is what every
+// paper design's request line carries (`conflicts all`).
 //
 // Service tests: an exact resubmission (even permuted and renamed)
 // replays from the cache with "cached" set and an identical objective; a
@@ -21,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -111,11 +115,6 @@ design::Design random_design(support::Rng& rng, Shape shape = Shape::kSparse) {
     }
   }
   return out;
-}
-
-bool is_complete(const design::Design& design) {
-  const std::size_t n = design.size();
-  return design.num_conflicts() == n * (n - 1) / 2;
 }
 
 arch::Board random_board(support::Rng& rng) {
@@ -220,7 +219,7 @@ TEST(SolutionCacheFingerprint, InvariantUnderReorderingAndRenaming) {
       // Structures the refinement ties are ranked by index, so a permuted
       // sparse graph may relabel its relation (and miss); a complete
       // graph, the shape of all serving traffic, never does.
-      if (is_complete(design)) {
+      if (design.all_conflicting()) {
         ASSERT_EQ(a.conflicts_by_rank, b.conflicts_by_rank)
             << where(shape, seed);
       }
@@ -360,6 +359,97 @@ TEST(SolutionCacheFingerprint, SeparatesGraphsThatNeedEveryRefinementTerm) {
   }
   EXPECT_NE(fp_of(identical_structures(13, path), board).full,
             fp_of(identical_structures(13, path_and_cycle), board).full);
+}
+
+/// `n` random structures, every pair conflicting.
+design::Design complete_design(support::Rng& rng, std::size_t n) {
+  design::Design out("d");
+  for (std::size_t i = 0; i < n; ++i) {
+    design::DataStructure ds = random_structure(rng);
+    ds.name = "s" + std::to_string(i);
+    out.add(ds);
+  }
+  out.set_all_conflicting();
+  return out;
+}
+
+/// `design` without the conflict between `a` and `b`.
+design::Design without_edge(const design::Design& design, std::size_t a,
+                            std::size_t b) {
+  design::Design out("d");
+  for (std::size_t i = 0; i < design.size(); ++i) out.add(design.at(i));
+  const std::pair<std::size_t, std::size_t> cut = std::minmax(a, b);
+  for (const auto& pair : design.conflict_pairs()) {
+    if (pair != cut) out.add_conflict(pair.first, pair.second);
+  }
+  return out;
+}
+
+TEST(SolutionCacheFingerprint, CompleteDesignMinusOneEdgeDiffers) {
+  // A complete relation folds its edge count alone (no per-edge term);
+  // one edge less must still move both keys.
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    support::Rng rng(seed + 3'000'000);
+    const design::Design design =
+        complete_design(rng, static_cast<std::size_t>(rng.uniform_int(2, 40)));
+    const arch::Board board = random_board(rng);
+    const std::size_t a = rng.index(design.size());
+    std::size_t b = rng.index(design.size() - 1);
+    if (b >= a) ++b;
+    const design::Design cut = without_edge(design, a, b);
+    ASSERT_TRUE(design.all_conflicting()) << "seed " << seed;
+    ASSERT_FALSE(cut.all_conflicting()) << "seed " << seed;
+    const RequestFingerprint full = fp_of(design, board);
+    const RequestFingerprint less = fp_of(cut, board);
+    ASSERT_NE(full.full, less.full) << "seed " << seed;
+    ASSERT_NE(full.structural, less.structural) << "seed " << seed;
+    ASSERT_NE(full.conflicts_by_rank, less.conflicts_by_rank)
+        << "seed " << seed;
+  }
+}
+
+TEST(SolutionCacheFingerprint, CompleteRelationSetsEveryRankBitAndNoTail) {
+  const arch::Board board = test_board();
+  for (const std::size_t n : {0, 1, 2, 11, 12, 64, 130}) {
+    support::Rng rng(n);
+    const RequestFingerprint fp = fp_of(complete_design(rng, n), board);
+    const std::size_t bits = n * (n - 1) / 2;
+    ASSERT_EQ(fp.conflicts_by_rank.size(), (bits + 63) / 64) << "n " << n;
+    std::size_t set = 0;
+    for (const std::uint64_t word : fp.conflicts_by_rank) {
+      set += static_cast<std::size_t>(std::popcount(word));
+    }
+    EXPECT_EQ(set, bits) << "n " << n;
+    // Every set bit is a pair's: the last word's tail stays clear.
+    if (bits % 64 != 0) {
+      EXPECT_EQ(fp.conflicts_by_rank.back() >> (bits % 64), 0u) << "n " << n;
+    }
+  }
+}
+
+TEST(SolutionCacheFingerprint, PaperRequestLinesSayConflictsAll) {
+  // Every paper design is all-conflicting: its request carries the one
+  // `conflicts all` line, never the n(n-1)/2 pairs.
+  for (const workload::Table3Point& point : workload::table3_points()) {
+    const workload::Table3Instance inst = workload::build_instance(point);
+    JsonObject request;
+    request["id"] = std::string("p") + std::to_string(point.index);
+    request["method"] = std::string("map");
+    request["design_text"] = design::design_to_string(inst.design);
+    const std::string line = Json(std::move(request)).dump();
+    EXPECT_NE(line.find("conflicts all"), std::string::npos)
+        << "point " << point.index;
+    EXPECT_EQ(line.find("conflict "), std::string::npos)
+        << "point " << point.index;
+    const Request parsed = parse_request_line(line);
+    ASSERT_EQ(parsed.method, Method::kMap) << parsed.error;
+    const design::DesignParseResult design =
+        design::parse_design_string(parsed.map.design_text);
+    ASSERT_TRUE(design.ok) << design.error;
+    EXPECT_TRUE(design.design.all_conflicting()) << "point " << point.index;
+    EXPECT_EQ(design.design.size(),
+              static_cast<std::size_t>(point.segments));
+  }
 }
 
 // ---- LRU store -------------------------------------------------------------
