@@ -4,33 +4,36 @@
     python3 bench/perf_ab.py --parent HEAD~1 \
         --workloads table3_global,serve_mix --seconds 45
 
-Run from anywhere inside the repository.  Exports the parent commit
-(git archive) and the working tree (tracked plus untracked, unignored
-files) into a work directory, builds perfbench in each the way
-perfbench/run.py does, and prints each build's perfbench::probe_ms
-address mod 64.  Then runs --pairs ABBA pairs per workload (pair 1 runs
+Run from anywhere inside the repository.  Exports the parent commit (git
+archive) and the working tree (tracked plus untracked, unignored files)
+into a work directory, builds perfbench in each the way perfbench/run.py
+does, and prints each build's perfbench::probe_ms address mod 64 and
+whether the .text sections of perfbench and mapper_serve are identical
+in both builds.  Then runs --pairs ABBA pairs per workload (pair 1 runs
 parent then change, pair 2 change then parent, ...) through each tree's
 own perfbench/run.py, and tabulates per run the scaled end-to-end
 metrics, host.probe_p10_ms and the unscaled measured.* values, with a
 per-workload summary: medians, the parent's quartiles, how many pairs
 the change won, and a verdict against the metric's BENCHMARK.json bound
 (a fraction of the parent's median): "within bound", "WORSE than bound",
-or "unresolved" when the parent's quartile spread is wider than the bound
-and not every change run reads better than every parent run.  The same
-verdict is printed for each measured.* timing under its metric's bound.
-Last, it runs each tree once more per workload with --trace 1 (same seed
-and --seconds) and prints the exact search and service counts of both
-side by side, marking every count that differs: a change meant to keep
-the search must keep them all.  One traced run per tree supports no
-per-layer timing, so only those counts are recorded.
+or "unresolved" when the parent's quartile spread is wider than the
+bound and not every change run reads better than every parent run.  The
+same verdict is printed for each measured.* timing under its metric's
+bound.  Last, it runs each tree once more per workload with --trace 1
+(same seed and --seconds) and prints the exact search and service counts
+of both side by side, marking every count that differs: a change meant
+to keep the search must keep them all.  One traced run per tree supports
+no per-layer timing, so only those counts are recorded.
 
 Why: perfbench divides every timing by the p10 of probe_ms, a dense loop
 whose speed depends on where its code lands, so a change that only shifts
 the link layout can move every scaled timing by tens of percent.  Pairs
 whose builds put probe_ms at different offsets mod 64, or whose probe
 p10 differ by more than 10%, are flagged; compare their measured.*
-values, which are not scaled.  Exits non-zero when a build or a run
-fails or a run reports a wrong answer.
+values, which are not scaled.  When both binaries' .text sections are
+identical, no timing difference between the builds can come from code.
+Exits non-zero when a build or a run fails or a run reports a wrong
+answer.
 """
 
 import argparse
@@ -91,6 +94,16 @@ def build(tree):
                           stderr=sys.stderr).returncode:
             return None
     return build_dir / "perfbench"
+
+
+def text_section(binary):
+    """The bytes of the binary's .text section, or None."""
+    with tempfile.TemporaryDirectory() as scratch:
+        out = pathlib.Path(scratch) / "text"
+        proc = subprocess.run(["objcopy", "-O", "binary",
+                               "--only-section=.text", str(binary), str(out)],
+                              capture_output=True)
+        return out.read_bytes() if proc.returncode == 0 else None
 
 
 def probe_offset(binary):
@@ -220,6 +233,7 @@ def main():
     log(f"perf_ab: work directory {work}")
 
     offsets = {}
+    texts = {}
     for side, tree in trees.items():
         binary = build(tree)
         if binary is None:
@@ -229,6 +243,22 @@ def main():
         label = "parent" if side == "P" else "change"
         print(f"{label}: probe_ms at {address:#x} ({offsets[side]} mod 64)"
               if address is not None else f"{label}: probe_ms not found")
+        # run.py serves from the mapper_serve built next to perfbench.
+        texts[side] = {name: text_section(path) for name, path in
+                       (("perfbench", binary),
+                        ("mapper_serve", binary.parent / "gmm" /
+                         "mapper_serve"))}
+    text_identical = {}
+    for name, p in texts["P"].items():
+        c = texts["C"][name]
+        text_identical[name] = p is not None and p == c
+        if p is None or c is None:
+            state = "not readable (objcopy failed)"
+        elif p == c:
+            state = "identical to the parent's"
+        else:
+            state = f"differs ({len(p)} bytes parent, {len(c)} change)"
+        print(f"{name}: .text {state}")
     layout_differs = offsets["P"] != offsets["C"]
     if layout_differs:
         print("FLAG: probe_ms offsets differ; scaled timings can move with "
@@ -238,7 +268,8 @@ def main():
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     record = {"parent": args.parent, "probe_offset_mod64": offsets,
-              "workloads": {}, "traced": {}}
+              "text_identical": text_identical, "workloads": {},
+              "traced": {}}
     for workload in filter(None, args.workloads.split(",")):
         runs = []
         print(f"\n== {workload}: {args.pairs} ABBA pairs of {args.seconds} s")

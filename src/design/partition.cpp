@@ -9,6 +9,9 @@ namespace gmm::design {
 
 namespace {
 
+/// Refinement passes over all structures; each pass is O(E + V * parts).
+constexpr int kRefinePasses = 8;
+
 /// Weight of a structure for the balance constraint: its storage bits,
 /// floored at 1 so zero-sized structures still occupy a slot.
 std::int64_t weight_of(const Design& design, std::size_t d) {
@@ -170,7 +173,7 @@ PartitionResult partition_design(const Design& design,
   // Relocate single structures while a move strictly reduces the
   // traffic-weighted cut and respects the caps.  Index order + first
   // improvement keeps it deterministic.
-  for (int pass = 0; pass < options.refine_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     bool moved = false;
     for (std::size_t d = 0; d < n; ++d) {
       std::fill(affinity.begin(), affinity.end(), 0);

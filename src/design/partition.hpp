@@ -55,8 +55,6 @@ struct PartitionOptions {
   /// primary caps: a structure that fits nowhere is still placed (most
   /// primary slack).
   std::vector<PartitionDimension> extra_dimensions;
-  /// Refinement passes over all structures; each pass is O(E + V * parts).
-  int refine_passes = 8;
 };
 
 struct PartitionResult {

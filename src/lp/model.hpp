@@ -48,8 +48,6 @@ class Model {
   [[nodiscard]] double row_ub(Index i) const { return row_ub_[i]; }
 
   void set_var_bounds(Index j, double lb, double ub);
-  void set_obj(Index j, double coef) { obj_[j] = coef; }
-  void set_var_type(Index j, VarType t) { type_[j] = t; }
 
   /// True iff the model has at least one integer/binary variable.
   [[nodiscard]] bool has_integers() const;

@@ -141,6 +141,22 @@ DetailedMapping map_detailed(const design::Design& design,
 
     for (const PendingFragment& frag : pending) {
       const FragmentGroup& g = *frag.group;
+      const auto place = [&](std::size_t instance, std::int64_t first_port,
+                             std::int64_t offset) {
+        mapping.fragments.push_back(PlacedFragment{
+            .ds = frag.ds,
+            .type = t,
+            .instance = static_cast<std::int64_t>(instance),
+            .config_index = g.config_index,
+            .kind = g.kind,
+            .ports = g.ports_each,
+            .first_port = first_port,
+            .offset_bits = offset,
+            .block_bits = g.block_bits,
+            .words_covered = g.words_covered,
+            .bits_covered = g.bits_covered,
+        });
+      };
       bool placed = false;
 
       // Pass 1 (overlap): join an identical block (size, config, port
@@ -149,8 +165,7 @@ DetailedMapping map_detailed(const design::Design& design,
       // ports, so neither capacity nor ports are charged again.
       if (overlap) {
         for (std::size_t i = 0; i < instances.size() && !placed; ++i) {
-          InstanceState& inst = instances[i];
-          for (SharedBlock& block : inst.blocks) {
+          for (SharedBlock& block : instances[i].blocks) {
             if (block.size != g.block_bits ||
                 block.config_index != g.config_index ||
                 block.ports != g.ports_each) {
@@ -163,19 +178,7 @@ DetailedMapping map_detailed(const design::Design& design,
                          design.conflicts(frag.ds, other);
                 });
             if (!compatible) continue;
-            mapping.fragments.push_back(PlacedFragment{
-                .ds = frag.ds,
-                .type = t,
-                .instance = static_cast<std::int64_t>(i),
-                .config_index = g.config_index,
-                .kind = g.kind,
-                .ports = g.ports_each,
-                .first_port = block.first_port,
-                .offset_bits = block.offset,
-                .block_bits = g.block_bits,
-                .words_covered = g.words_covered,
-                .bits_covered = g.bits_covered,
-            });
+            place(i, block.first_port, block.offset);
             block.occupants.push_back(frag.ds);
             placed = true;
             break;
@@ -183,70 +186,41 @@ DetailedMapping map_detailed(const design::Design& design,
         }
       }
 
-      // Pass 2: first instance with free ports and a fresh buddy block.
-      for (std::size_t i = 0; i < instances.size() && !placed; ++i) {
+      // Pass 2 (first fit): the first instance with free ports and a
+      // fresh buddy block, where the slot after the last open instance
+      // opens a new one.  A fresh instance must take the fragment.
+      for (std::size_t i = 0; !placed; ++i) {
+        const bool fresh = i == instances.size();
+        if (fresh) {
+          if (static_cast<std::int64_t>(i) >= type.instances) {
+            mapping.success = false;
+            mapping.failed_type = static_cast<int>(t);
+            mapping.failure = "type " + type.name +
+                              ": out of instances while placing a fragment "
+                              "of " + design.at(frag.ds).name;
+            GMM_LOG(kInfo) << "detailed: " << mapping.failure;
+            return mapping;
+          }
+          instances.emplace_back(type.capacity_bits());
+        }
         InstanceState& inst = instances[i];
-        if (inst.ports_used + g.ports_each > type.ports) continue;
+        if (inst.ports_used + g.ports_each > type.ports) {
+          GMM_ASSERT(!fresh,
+                     "fragment needs more ports than an instance offers");
+          continue;
+        }
         const std::int64_t offset = inst.buddy.allocate(g.block_bits);
+        GMM_ASSERT(!fresh || offset == 0,
+                   "fresh instance must allocate at offset 0");
         if (offset < 0) continue;
-        mapping.fragments.push_back(PlacedFragment{
-            .ds = frag.ds,
-            .type = t,
-            .instance = static_cast<std::int64_t>(i),
-            .config_index = g.config_index,
-            .kind = g.kind,
-            .ports = g.ports_each,
-            .first_port = inst.ports_used,
-            .offset_bits = offset,
-            .block_bits = g.block_bits,
-            .words_covered = g.words_covered,
-            .bits_covered = g.bits_covered,
-        });
-        inst.ports_used += g.ports_each;
-        if (overlap) {
-          inst.blocks.push_back(SharedBlock{
-              offset, g.block_bits, g.config_index, g.ports_each,
-              mapping.fragments.back().first_port, {frag.ds}});
-        }
-        placed = true;
-      }
-
-      // Pass 3: open a new instance.
-      if (!placed) {
-        if (static_cast<std::int64_t>(instances.size()) >= type.instances) {
-          mapping.success = false;
-          mapping.failed_type = static_cast<int>(t);
-          mapping.failure = "type " + type.name +
-                            ": out of instances while placing a fragment of "
-                            + design.at(frag.ds).name;
-          GMM_LOG(kInfo) << "detailed: " << mapping.failure;
-          return mapping;
-        }
-        instances.emplace_back(type.capacity_bits());
-        InstanceState& inst = instances.back();
-        GMM_ASSERT(g.ports_each <= type.ports,
-                   "fragment needs more ports than an instance offers");
-        const std::int64_t offset = inst.buddy.allocate(g.block_bits);
-        GMM_ASSERT(offset == 0, "fresh instance must allocate at offset 0");
-        mapping.fragments.push_back(PlacedFragment{
-            .ds = frag.ds,
-            .type = t,
-            .instance = static_cast<std::int64_t>(instances.size()) - 1,
-            .config_index = g.config_index,
-            .kind = g.kind,
-            .ports = g.ports_each,
-            .first_port = 0,
-            .offset_bits = offset,
-            .block_bits = g.block_bits,
-            .words_covered = g.words_covered,
-            .bits_covered = g.bits_covered,
-        });
-        inst.ports_used = g.ports_each;
+        place(i, inst.ports_used, offset);
         if (overlap) {
           inst.blocks.push_back(SharedBlock{offset, g.block_bits,
                                             g.config_index, g.ports_each,
-                                            0, {frag.ds}});
+                                            inst.ports_used, {frag.ds}});
         }
+        inst.ports_used += g.ports_each;
+        placed = true;
       }
     }
   }

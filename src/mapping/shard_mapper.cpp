@@ -18,6 +18,9 @@ namespace gmm::mapping {
 
 namespace {
 
+/// Migration rounds for parts that are infeasible on every device.
+constexpr int kMaxRepairRounds = 8;
+
 void accumulate(ModelSize& into, const ModelSize& from) {
   into.variables += from.variables;
   into.binaries += from.binaries;
@@ -80,8 +83,7 @@ ShardResult single_device_result(const design::Design& design,
 
 }  // namespace
 
-ShardResult map_sharded(support::ThreadPool& pool,
-                        const design::Design& design,
+ShardResult map_sharded(const design::Design& design,
                         const arch::Board& board,
                         const ShardOptions& options) {
   // Devices without a single bank are skipped, never solved against.
@@ -318,8 +320,9 @@ ShardResult map_sharded(support::ThreadPool& pool,
     return std::to_string(part) + "|" + std::to_string(dev);
   };
 
+  support::ThreadPool pool(options.num_workers);  // candidate fan-out
   const char* infeasible_reason = "repair round budget exhausted";
-  for (int round = 0; round <= options.max_repair_rounds; ++round) {
+  for (int round = 0; round <= kMaxRepairRounds; ++round) {
     if (stopped()) return out;
 
     // Materialize the current parts: member lists, induced sub-designs,
@@ -480,10 +483,8 @@ ShardResult map_sharded(support::ThreadPool& pool,
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       if (!solved(*results[c])) continue;
       const Candidate& cand = candidates[c];
-      const double transfer =
-          options.transfer_weight *
-          static_cast<double>(cut_traffic[cand.part]) *
-          static_cast<double>(device_pins[cand.dev]);
+      const double transfer = static_cast<double>(cut_traffic[cand.part]) *
+                              static_cast<double>(device_pins[cand.dev]);
       var_of[c] =
           stitch.add_binary(results[c]->assignment.objective + transfer);
     }
@@ -567,8 +568,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
         out.detailed.fragments.push_back(fragment);
       }
       out.objective += r.assignment.objective;
-      out.stats.stitch_cost += options.transfer_weight *
-                               static_cast<double>(cut_traffic[cand.part]) *
+      out.stats.stitch_cost += static_cast<double>(cut_traffic[cand.part]) *
                                static_cast<double>(device_pins[cand.dev]);
       out.retries += r.retries;
       out.effort += r.effort;
@@ -588,13 +588,6 @@ ShardResult map_sharded(support::ThreadPool& pool,
   GMM_LOG(kInfo) << "sharded mapping infeasible: " << infeasible_reason;
   out.status = lp::SolveStatus::kInfeasible;
   return out;
-}
-
-ShardResult map_sharded(const design::Design& design,
-                        const arch::Board& board,
-                        const ShardOptions& options) {
-  support::ThreadPool pool(options.num_workers);
-  return map_sharded(pool, design, board, options);
 }
 
 }  // namespace gmm::mapping

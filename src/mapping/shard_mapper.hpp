@@ -18,14 +18,14 @@
 //      device's single-device board view;
 //   3. STITCH with a small assignment ILP over the candidates: binary
 //      Y_pk ("part p lands on device k"), cost = the candidate's solved
-//      objective + transfer_weight * (part p's incident cut traffic) *
+//      objective + (part p's incident cut traffic) *
 //      (device k's inter_device_pins), one-device-per-part equality rows
 //      and at-most-one-part-per-device rows, solved exactly (gap 0) by
 //      the in-tree MipSolver;
 //   4. REPAIR: a part that is infeasible on every device migrates its
 //      largest structure to the part with the most slack and the loop
-//      re-solves, up to max_repair_rounds, after which the result is
-//      reported infeasible.
+//      re-solves, up to 8 rounds, after which the result is reported
+//      infeasible.
 //
 // Determinism: the partition is deterministic, each candidate pipeline
 // is deterministic regardless of pool interleaving (per-solve solver
@@ -54,14 +54,8 @@ struct ShardOptions {
   /// Partitioner knobs; `parts` and `capacities` are overwritten with the
   /// usable-device count and per-device bit capacities.
   design::PartitionOptions partition;
-  /// Weight of the inter-device transfer term in the stitched objective
-  /// (multiplies cut traffic x endpoint inter_device_pins).
-  double transfer_weight = 1.0;
-  /// Migration rounds for parts that are infeasible on every device.
-  int max_repair_rounds = 8;
-  /// Workers for the candidate fan-out when map_sharded creates its own
-  /// pool (0 = hardware concurrency; mapping::solve sizes it to the
-  /// per-solve thread budget).  The pool-taking overload ignores this.
+  /// Workers for the candidate fan-out (0 = hardware concurrency;
+  /// mapping::solve sizes it to the per-solve thread budget).
   std::size_t num_workers = 0;
 };
 
@@ -106,13 +100,8 @@ struct ShardResult {
   ShardStats stats;
 };
 
-/// Shard over a caller-owned pool (shared fan-out workers).
-ShardResult map_sharded(support::ThreadPool& pool,
-                        const design::Design& design,
-                        const arch::Board& board,
-                        const ShardOptions& options = {});
-
-/// Convenience: create a pool for the duration of the call.
+/// Shard `design` over `board`'s devices; the candidate fan-out runs on a
+/// pool of `options.num_workers` created for the call.
 ShardResult map_sharded(const design::Design& design,
                         const arch::Board& board,
                         const ShardOptions& options = {});

@@ -21,7 +21,6 @@ class TextTable {
   void add_row(std::vector<std::string> cells);
 
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
-  [[nodiscard]] std::size_t num_columns() const { return headers_.size(); }
 
   /// Render with a header rule, column separators and padding.
   void print(std::ostream& out) const;

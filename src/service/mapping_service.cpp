@@ -18,6 +18,12 @@ namespace {
 
 using lp::SolveStatus;
 
+/// Migration-cost term for near-miss incremental re-solves: structures pay
+/// this much for leaving their cached bank type, biasing the delta solve
+/// toward the stable prior assignment.  The REPORTED objective stays pure
+/// (the penalty only steers the search).
+constexpr double kNearMissMigrationPenalty = 1e-3;
+
 /// Map a finished pipeline run onto a wire status.  The mip stop_reason
 /// disambiguates kFeasible results: an incumbent that survived a cancel
 /// or deadline is still reported under the stopping status (with the
@@ -466,7 +472,7 @@ void MappingService::run_map(const std::string& id, int version,
     // NEAR MISS: same structure, board and contract, new traffic.
     spec.prior_type_of = lookup.prior_type_of;
     spec.pinned_structures = lookup.pinned_structures;
-    spec.migration_penalty = options_.near_miss_migration_penalty;
+    spec.migration_penalty = kNearMissMigrationPenalty;
   }
   const mapping::SolveOutcome outcome = mapping::solve(design, *board, spec);
 

@@ -69,11 +69,6 @@ struct ServiceOptions {
   /// Solution-cache capacity in entries (LRU); 0 disables the cache —
   /// every request then solves cold and counts as a bypass.
   std::size_t cache_capacity = 128;
-  /// Migration-cost term for near-miss incremental re-solves: structures
-  /// pay this much for leaving their cached bank type, biasing the delta
-  /// solve toward the stable prior assignment.  The REPORTED objective
-  /// stays pure (the penalty only steers the search); 0 disables it.
-  double near_miss_migration_penalty = 1e-3;
   /// Adaptive overload shedding: when the EWMA of the OBSERVED queue
   /// delay (admission to worker pickup) exceeds this many milliseconds,
   /// new map requests are rejected at admission with a retry_after_ms

@@ -86,6 +86,14 @@ namespace gmm::service {
 
 namespace {
 
+/// A connection whose unterminated line exceeds this is dropped (a client
+/// streaming garbage without newlines must not grow server memory without
+/// bound).
+constexpr std::size_t kMaxLineBytes = 8u << 20;
+/// A connection whose unflushed response backlog exceeds this is dropped
+/// as a slow consumer (its in-flight requests are cancelled).
+constexpr std::size_t kMaxWriteBufferBytes = 64u << 20;
+
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -428,8 +436,8 @@ void SocketServer::read_client(Connection& conn) {
       conn.bytes_in += n;
       transport_.bytes_received += n;
       if (!conn.in.has_line() &&
-          conn.in.pending_bytes() > options_.max_line_bytes) {
-        drop(conn, "unterminated line exceeds max_line_bytes");
+          conn.in.pending_bytes() > kMaxLineBytes) {
+        drop(conn, "unterminated line exceeds 8 MiB");
         return;
       }
       continue;
@@ -617,8 +625,8 @@ void SocketServer::deliver(Connection& conn, const Response& response) {
   }
   conn.out += response.to_line();
   conn.out.push_back('\n');
-  if (conn.out.size() - conn.out_offset > options_.max_write_buffer_bytes) {
-    drop(conn, "write backlog exceeds max_write_buffer_bytes");
+  if (conn.out.size() - conn.out_offset > kMaxWriteBufferBytes) {
+    drop(conn, "write backlog exceeds 64 MiB");
     return;
   }
   flush(conn);

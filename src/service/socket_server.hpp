@@ -90,13 +90,6 @@ SocketEndpoint parse_socket_endpoint(const std::string& spec);
 struct SocketServerOptions {
   std::string listen;  // endpoint spec, see parse_socket_endpoint
   std::size_t max_clients = 256;
-  /// A connection whose unterminated line exceeds this is dropped (a
-  /// client streaming garbage without newlines must not grow server
-  /// memory without bound).
-  std::size_t max_line_bytes = 8u << 20;
-  /// A connection whose unflushed response backlog exceeds this is
-  /// dropped as a slow consumer (its in-flight requests are cancelled).
-  std::size_t max_write_buffer_bytes = 64u << 20;
   /// Per-client in-flight quota: a map request arriving while this many
   /// of the SAME connection's map requests are still unanswered is
   /// rejected at the transport layer (status "rejected", retryable, with

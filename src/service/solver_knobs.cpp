@@ -140,17 +140,4 @@ void apply_solver_knobs(const SolverKnobs& knobs, int max_threads_per_solve,
                max_threads_per_solve);
 }
 
-Json solver_knobs_to_json(const SolverKnobs& knobs) {
-  JsonObject object;
-  if (knobs.gap >= 0.0) object["gap"] = knobs.gap;
-  if (knobs.max_nodes >= 0) object["max_nodes"] = knobs.max_nodes;
-  if (knobs.time_limit_ms >= 0.0) object["time_limit_ms"] = knobs.time_limit_ms;
-  if (knobs.threads != 1) object["threads"] = knobs.threads;
-  if (knobs.max_stored_bases >= 0) {
-    object["max_stored_bases"] = knobs.max_stored_bases;
-  }
-  if (knobs.no_cache) object["no_cache"] = true;
-  return Json(std::move(object));
-}
-
 }  // namespace gmm::service

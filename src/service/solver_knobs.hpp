@@ -79,8 +79,4 @@ bool parse_solver_knobs(const Json& request, SolverKnobs& out,
 void apply_solver_knobs(const SolverKnobs& knobs, int max_threads_per_solve,
                         ilp::MipOptions& mip);
 
-/// The canonical v2 wire form: an "options" JsonObject holding exactly
-/// the knobs that are set (empty when all are defaults).
-[[nodiscard]] Json solver_knobs_to_json(const SolverKnobs& knobs);
-
 }  // namespace gmm::service

@@ -193,21 +193,28 @@ TEST(DetailedMapper, AllConflictingDesignMapsIdenticallyWithOverlapOnOrOff) {
 }
 
 TEST(DetailedMapper, FailsWhenInstancesExhausted) {
+  // Type 0 packs fine; type 1 runs out.  The pipeline's no-good cut reads
+  // only failed_type, so it must name the exhausted type.
   arch::Board board("b");
+  arch::BankType roomy = arch::on_chip_bank_type(*arch::find_device("XCV50"));
+  roomy.name = "roomy";
+  board.add_bank_type(roomy);
   arch::BankType t = arch::on_chip_bank_type(*arch::find_device("XCV50"));
   t.instances = 1;
   board.add_bank_type(t);
   design::Design design("d");
   design.add(ds("a", 4096, 1));
   design.add(ds("b", 4096, 1));
+  design.add(ds("c", 4096, 1));
   design.set_all_conflicting();
   const CostTable table(design, board);
   GlobalAssignment assignment;
-  assignment.type_of = {0, 0};
+  assignment.type_of = {1, 0, 1};
   const DetailedMapping mapping =
       map_detailed(design, board, table, assignment);
   EXPECT_FALSE(mapping.success);
   EXPECT_FALSE(mapping.failure.empty());
+  EXPECT_EQ(mapping.failed_type, 1);
 }
 
 // Property: on dual-ported banks, any assignment satisfying the aggregate

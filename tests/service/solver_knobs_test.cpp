@@ -209,16 +209,5 @@ TEST(SolverKnobs, UnsetSentinelKeepsUnlimitedBudget) {
   EXPECT_EQ(mip.time_limit_seconds, lp::kInf);  // only the sentinel keeps it
 }
 
-TEST(SolverKnobs, ToJsonEmitsOnlySetKnobs) {
-  EXPECT_EQ(solver_knobs_to_json(SolverKnobs{}).dump(), "{}");
-  SolverKnobs knobs;
-  knobs.gap = 0.01;
-  knobs.threads = 2;
-  const std::string text = solver_knobs_to_json(knobs).dump();
-  EXPECT_NE(text.find("\"gap\":0.01"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"threads\":2"), std::string::npos) << text;
-  EXPECT_EQ(text.find("max_nodes"), std::string::npos) << text;
-}
-
 }  // namespace
 }  // namespace gmm::service
