@@ -8,7 +8,9 @@
 //
 // Terms are kept unsorted and possibly duplicated while building; the Model
 // canonicalizes (sort + merge) on insertion so construction stays O(1)
-// amortized per term.
+// amortized per term.  A row whose terms already come in strictly
+// increasing variable order (each variable once) is appended without a
+// sorted copy.
 #pragma once
 
 #include <utility>
@@ -47,6 +49,9 @@ class LinExpr {
   [[nodiscard]] const std::vector<Term>& terms() const { return terms_; }
   [[nodiscard]] bool empty() const { return terms_.empty(); }
   void reserve(std::size_t n) { terms_.reserve(n); }
+  /// Drop every term but keep the storage, so one expression can build
+  /// row after row.
+  void clear() { terms_.clear(); }
 
  private:
   std::vector<Term> terms_;

@@ -25,11 +25,22 @@ Index Model::add_row(const LinExpr& expr, double lb, double ub) {
   GMM_ASSERT(!(lb > ub), "row with lb > ub");
   if (row_start_.empty()) row_start_.push_back(0);
 
-  // Canonicalize: sort by variable, merge duplicates, drop zeros.
-  std::vector<Term> terms(expr.terms());
-  std::sort(terms.begin(), terms.end(),
-            [](const Term& a, const Term& b) { return a.var < b.var; });
-  const std::size_t begin = coef_.size();
+  // Canonicalize: sort by variable, merge duplicates, drop zeros.  Terms
+  // already in strictly increasing variable order are merged as given,
+  // since sorting them would leave them exactly as they are.
+  const std::vector<Term>& given = expr.terms();
+  const bool in_order =
+      std::adjacent_find(given.begin(), given.end(),
+                         [](const Term& a, const Term& b) {
+                           return a.var >= b.var;
+                         }) == given.end();
+  std::vector<Term> sorted;
+  if (!in_order) {
+    sorted = given;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Term& a, const Term& b) { return a.var < b.var; });
+  }
+  const std::vector<Term>& terms = in_order ? given : sorted;
   for (std::size_t k = 0; k < terms.size();) {
     const Index var = terms[k].var;
     GMM_ASSERT(var >= 0 && var < num_vars(), "row references unknown variable");
@@ -43,7 +54,6 @@ Index Model::add_row(const LinExpr& expr, double lb, double ub) {
       coef_.push_back(coef);
     }
   }
-  (void)begin;
   row_lb_.push_back(lb);
   row_ub_.push_back(ub);
   row_start_.push_back(coef_.size());

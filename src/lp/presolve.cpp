@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -13,19 +14,22 @@ namespace {
 
 constexpr double kTol = 1e-9;
 
+/// A row's live terms are terms[begin, begin + size) of the one array
+/// every row shares; substituting fixed variables only shrinks `size`.
 struct WorkRow {
-  std::vector<Term> terms;
+  std::size_t begin, size;
   double lb, ub;
   bool removed = false;
 };
 
 /// Minimum and maximum possible activity of a row given variable bounds.
-void activity_range(const WorkRow& row, const std::vector<double>& lb,
+void activity_range(std::span<const Term> terms,
+                    const std::vector<double>& lb,
                     const std::vector<double>& ub, double& min_act,
                     double& max_act) {
   min_act = 0.0;
   max_act = 0.0;
-  for (const Term& t : row.terms) {
+  for (const Term& t : terms) {
     const double lo = t.coef >= 0 ? lb[t.var] : ub[t.var];
     const double hi = t.coef >= 0 ? ub[t.var] : lb[t.var];
     min_act += t.coef * lo;  // note: +-inf propagates correctly
@@ -46,16 +50,19 @@ PresolveResult presolve(const Model& model) {
     lb[j] = model.var_lb(j);
     ub[j] = model.var_ub(j);
   }
+  std::vector<Term> terms(model.num_nonzeros());
   std::vector<WorkRow> rows(m);
+  std::size_t next = 0;
   for (Index i = 0; i < m; ++i) {
     const Model::RowView r = model.row(i);
-    rows[i].terms.reserve(r.size);
+    rows[i] = {next, r.size, model.row_lb(i), model.row_ub(i)};
     for (std::size_t k = 0; k < r.size; ++k) {
-      rows[i].terms.push_back({r.vars[k], r.coefs[k]});
+      terms[next++] = {r.vars[k], r.coefs[k]};
     }
-    rows[i].lb = model.row_lb(i);
-    rows[i].ub = model.row_ub(i);
   }
+  const auto live = [&terms](const WorkRow& row) {
+    return std::span<const Term>(terms.data() + row.begin, row.size);
+  };
 
   // Integer bound rounding.
   for (Index j = 0; j < n; ++j) {
@@ -84,22 +91,23 @@ PresolveResult presolve(const Model& model) {
     }
     for (WorkRow& row : rows) {
       if (row.removed) continue;
-      std::size_t out = 0;
-      for (const Term& t : row.terms) {
+      std::size_t out = row.begin;
+      for (std::size_t k = row.begin; k < row.begin + row.size; ++k) {
+        const Term t = terms[k];
         if (fixed[t.var]) {
           const double shift = t.coef * lb[t.var];
           if (row.lb > -kInf) row.lb -= shift;
           if (row.ub < kInf) row.ub -= shift;
         } else {
-          row.terms[out++] = t;
+          terms[out++] = t;
         }
       }
-      row.terms.resize(out);
+      row.size = out - row.begin;
     }
 
     for (WorkRow& row : rows) {
       if (row.removed) continue;
-      if (row.terms.empty()) {
+      if (row.size == 0) {
         if (row.lb > kTol || row.ub < -kTol) {
           result.infeasible = true;
           return result;
@@ -110,7 +118,7 @@ PresolveResult presolve(const Model& model) {
         continue;
       }
       double min_act, max_act;
-      activity_range(row, lb, ub, min_act, max_act);
+      activity_range(live(row), lb, ub, min_act, max_act);
       // Scale by the finite activity bounds only: an infinite one would
       // make every tolerance below infinite and every test pass.
       double scale = 1.0;
@@ -128,9 +136,9 @@ PresolveResult presolve(const Model& model) {
         changed = true;
         continue;
       }
-      if (row.terms.size() == 1) {
+      if (row.size == 1) {
         // Singleton row: fold into the variable's bounds.
-        const Term t = row.terms.front();
+        const Term t = terms[row.begin];
         double new_lb = lb[t.var];
         double new_ub = ub[t.var];
         if (t.coef > 0) {
@@ -163,7 +171,7 @@ PresolveResult presolve(const Model& model) {
       const bool at_max = row.lb > -kInf && std::isfinite(max_act) &&
                           max_act <= row.lb + kTol * scale;
       if (at_min || at_max) {
-        for (const Term& t : row.terms) {
+        for (const Term& t : live(row)) {
           if ((t.coef > 0) == at_min) {
             ub[t.var] = lb[t.var];
           } else {
@@ -189,13 +197,15 @@ PresolveResult presolve(const Model& model) {
           lb[j], ub[j], model.obj(j), model.var_type(j));
     }
   }
+  // Surviving variables keep their order, so each reduced row stays in
+  // strictly increasing variable order and add_row stores it unsorted.
   result.row_map.assign(m, kInvalidIndex);
+  LinExpr expr;
   for (Index i = 0; i < m; ++i) {
     const WorkRow& row = rows[i];
     if (row.removed) continue;
-    LinExpr expr;
-    expr.reserve(row.terms.size());
-    for (const Term& t : row.terms) {
+    expr.clear();
+    for (const Term& t : live(row)) {
       expr.add(result.var_map[t.var], t.coef);
     }
     result.row_map[i] = result.reduced.add_row(expr, row.lb, row.ub);

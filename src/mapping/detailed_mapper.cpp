@@ -1,7 +1,9 @@
 #include "mapping/detailed_mapper.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -11,37 +13,40 @@ namespace gmm::mapping {
 
 namespace {
 
-/// Buddy allocator over one instance's bit space.  All block sizes are
-/// powers of two and the capacity is a power of two, so allocation never
-/// fails while free space >= requested block (the buddy invariant).
+/// Buddy allocator over one instance's bit space.  Block sizes and the
+/// capacity are powers of two (BankType::validate) and blocks are never
+/// freed, so at most one free block of each size exists: carving 2^k out of
+/// the smallest free block 2^j >= 2^k frees one block of each size 2^k ..
+/// 2^(j-1), none of which was free before.  The free space is therefore a
+/// bit mask of free sizes plus one offset per size, and allocation never
+/// fails while a free block is at least the requested size.
 class BuddyAllocator {
  public:
+  /// One free block, the whole capacity 2^k, at offset 0: bit k alone.
   explicit BuddyAllocator(std::int64_t capacity_bits)
-      : capacity_(capacity_bits) {
-    free_[capacity_bits].push_back(0);
-  }
+      : free_sizes_(static_cast<std::uint64_t>(capacity_bits)) {}
 
-  /// Allocate a power-of-two block; returns the offset or -1.
+  /// Allocate a power-of-two block from the smallest free block that
+  /// fits; returns the offset or -1.
   std::int64_t allocate(std::int64_t size) {
-    auto it = free_.lower_bound(size);
-    while (it != free_.end() && it->second.empty()) ++it;
-    if (it == free_.end()) return -1;
-    std::int64_t block_size = it->first;
-    std::int64_t offset = it->second.back();
-    it->second.pop_back();
-    // Split down to the requested size, returning the upper halves.
-    while (block_size > size) {
-      block_size /= 2;
-      free_[block_size].push_back(offset + block_size);
+    const int k = std::countr_zero(static_cast<std::uint64_t>(size));
+    const std::uint64_t fits = free_sizes_ >> k;
+    if (fits == 0) return -1;
+    int j = k + std::countr_zero(fits);
+    const std::int64_t offset = offset_[j];
+    free_sizes_ &= ~(std::uint64_t{1} << j);
+    // Split down to the requested size, freeing the upper halves.
+    while (j > k) {
+      --j;
+      offset_[j] = offset + (std::int64_t{1} << j);
+      free_sizes_ |= std::uint64_t{1} << j;
     }
     return offset;
   }
 
-  [[nodiscard]] std::int64_t capacity() const { return capacity_; }
-
  private:
-  std::int64_t capacity_;
-  std::map<std::int64_t, std::vector<std::int64_t>> free_;
+  std::uint64_t free_sizes_ = 0;  // bit k set: a free block of 2^k bits
+  std::array<std::int64_t, 64> offset_{};  // its offset, where bit k is set
 };
 
 /// One shared block that lifetime-disjoint structures may co-occupy.
@@ -136,8 +141,11 @@ DetailedMapping map_detailed(const design::Design& design,
                        return a.ds < b.ds;
                      });
 
+    // Each fragment opens at most one instance, so reserve for the
+    // fragments rather than for every instance the type declares.
     std::vector<InstanceState> instances;
-    instances.reserve(static_cast<std::size_t>(type.instances));
+    instances.reserve(std::min(static_cast<std::size_t>(type.instances),
+                               pending.size()));
 
     for (const PendingFragment& frag : pending) {
       const FragmentGroup& g = *frag.group;

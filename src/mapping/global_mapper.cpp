@@ -54,9 +54,11 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
   }
 
   // ---- uniqueness --------------------------------------------------------
+  // Each row kind reuses one expression's storage from row to row.
   global.uniqueness_rows.resize(num_ds);
+  lp::LinExpr expr;
   for (std::size_t d = 0; d < num_ds; ++d) {
-    lp::LinExpr expr;
+    expr.clear();
     for (std::size_t t = 0; t < num_types; ++t) {
       if (z[d][t] != lp::kInvalidIndex) expr.add(z[d][t], 1.0);
     }
@@ -80,12 +82,14 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
     for (std::size_t d = 0; d < num_ds; ++d) all[d] = d;
     cliques.push_back(std::move(all));
   }
+  lp::LinExpr ports, area;
   for (std::size_t t = 0; t < num_types; ++t) {
     const double total_ports =
         static_cast<double>(board.type(t).total_ports());
     const double capacity = static_cast<double>(board.type(t).total_bits());
     for (std::size_t q = 0; q < cliques.size(); ++q) {
-      lp::LinExpr ports, area;
+      ports.clear();
+      area.clear();
       for (const std::size_t d : cliques[q]) {
         if (z[d][t] == lp::kInvalidIndex) continue;
         const PlacementPlan& plan = table.plan(d, t);
@@ -100,13 +104,14 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
   }
 
   // ---- retry cuts ---------------------------------------------------------
+  lp::LinExpr no_good;
   for (const auto& cut : options.no_good_cuts) {
-    lp::LinExpr expr;
+    no_good.clear();
     for (const auto& [d, t] : cut) {
-      if (z[d][t] != lp::kInvalidIndex) expr.add(z[d][t], 1.0);
+      if (z[d][t] != lp::kInvalidIndex) no_good.add(z[d][t], 1.0);
     }
-    if (!expr.empty()) {
-      model.add_constraint(expr, lp::Sense::kLessEqual,
+    if (!no_good.empty()) {
+      model.add_constraint(no_good, lp::Sense::kLessEqual,
                            static_cast<double>(cut.size()) - 1.0);
     }
   }

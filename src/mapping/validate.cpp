@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <span>
+#include <utility>
 
 #include "support/arithmetic.hpp"
 
 namespace gmm::mapping {
+
+namespace {
+
+/// An instance's name in a violation, built only when one is reported.
+std::string where(const arch::BankType& type, std::int64_t instance) {
+  return type.name + "[" + std::to_string(instance) + "]";
+}
+
+}  // namespace
 
 std::vector<std::string> validate_mapping(const design::Design& design,
                                           const arch::Board& board,
@@ -92,20 +102,37 @@ std::vector<std::string> validate_mapping(const design::Design& design,
   }
 
   // ---- per-instance checks ---------------------------------------------
-  std::map<std::pair<std::size_t, std::int64_t>,
-           std::vector<const PlacedFragment*>>
-      by_instance;
+  // Group the fragments by (type, instance), in that order, keeping the
+  // mapping order within each instance.  A fragment on an unknown
+  // structure or type was reported above and has nothing to be checked
+  // against here.
+  std::vector<const PlacedFragment*> by_instance;
+  by_instance.reserve(mapping.fragments.size());
   for (const PlacedFragment& f : mapping.fragments) {
-    by_instance[{f.type, f.instance}].push_back(&f);
+    if (f.ds < design.size() && f.type < board.num_types()) {
+      by_instance.push_back(&f);
+    }
   }
-  for (const auto& [key, fragments] : by_instance) {
-    const arch::BankType& type = board.type(key.first);
-    const std::string where =
-        type.name + "[" + std::to_string(key.second) + "]";
+  std::stable_sort(by_instance.begin(), by_instance.end(),
+                   [](const PlacedFragment* a, const PlacedFragment* b) {
+                     return std::pair(a->type, a->instance) <
+                            std::pair(b->type, b->instance);
+                   });
+  std::vector<const PlacedFragment*> group_heads;
+  for (auto first = by_instance.begin(); first != by_instance.end();) {
+    const auto last = std::find_if(
+        first, by_instance.end(), [first](const PlacedFragment* f) {
+          return f->type != (*first)->type ||
+                 f->instance != (*first)->instance;
+        });
+    const std::span<const PlacedFragment* const> fragments(first, last);
+    first = last;
+    const arch::BankType& type = board.type(fragments.front()->type);
+    const std::int64_t instance = fragments.front()->instance;
 
     // Distinct wiring groups: fragments sharing the exact same block AND
     // port range time-multiplex one set of wiring and count once.
-    std::vector<const PlacedFragment*> group_heads;
+    group_heads.clear();
     for (const PlacedFragment* f : fragments) {
       const bool duplicate = std::any_of(
           group_heads.begin(), group_heads.end(),
@@ -120,8 +147,9 @@ std::vector<std::string> validate_mapping(const design::Design& design,
     std::int64_t total_ports = 0;
     for (const PlacedFragment* head : group_heads) total_ports += head->ports;
     if (total_ports > type.ports) {
-      violation(where + ": " + std::to_string(total_ports) +
-                " ports consumed of " + std::to_string(type.ports));
+      violation(where(type, instance) + ": " +
+                std::to_string(total_ports) + " ports consumed of " +
+                std::to_string(type.ports));
     }
 
     for (std::size_t a = 0; a < fragments.size(); ++a) {
@@ -143,22 +171,24 @@ std::vector<std::string> validate_mapping(const design::Design& design,
             fa->config_index == fb->config_index;
         if (identical_share) {
           if (fa->ds == fb->ds) {
-            violation(where + ": two fragments of " +
+            violation(where(type, instance) + ": two fragments of " +
                       design.at(fa->ds).name + " share one block");
           } else if (design.conflicts(fa->ds, fb->ds)) {
-            violation(where + ": conflicting structures " +
+            violation(where(type, instance) + ": conflicting structures " +
                       design.at(fa->ds).name + " and " +
                       design.at(fb->ds).name + " share storage");
           }
           continue;
         }
         if (port_overlap) {
-          violation(where + ": port ranges of " + design.at(fa->ds).name +
-                    " and " + design.at(fb->ds).name + " overlap");
+          violation(where(type, instance) + ": port ranges of " +
+                    design.at(fa->ds).name + " and " +
+                    design.at(fb->ds).name + " overlap");
         }
         if (block_overlap) {
-          violation(where + ": blocks of " + design.at(fa->ds).name +
-                    " and " + design.at(fb->ds).name + " overlap");
+          violation(where(type, instance) + ": blocks of " +
+                    design.at(fa->ds).name + " and " +
+                    design.at(fb->ds).name + " overlap");
         }
       }
     }

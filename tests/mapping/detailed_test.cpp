@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "arch/device_catalog.hpp"
 #include "mapping/pipeline.hpp"
 #include "mapping/validate.hpp"
 #include "support/rng.hpp"
 #include "workload/table3_suite.hpp"
+#include "workload/workload_gen.hpp"
 
 namespace gmm::mapping {
 namespace {
@@ -215,6 +222,118 @@ TEST(DetailedMapper, FailsWhenInstancesExhausted) {
   EXPECT_FALSE(mapping.success);
   EXPECT_FALSE(mapping.failure.empty());
   EXPECT_EQ(mapping.failed_type, 1);
+}
+
+// A type may declare far more instances than a design can touch: the
+// packer sizes its per-instance state by the fragments it places, not by
+// the declaration (10^11 instance states would be terabytes).
+TEST(DetailedMapper, HugeInstanceCountReservesOnlyWhatItPlaces) {
+  arch::Board board("b");
+  arch::BankType t = arch::on_chip_bank_type(*arch::find_device("XCV50"));
+  t.instances = 100'000'000'000;
+  board.add_bank_type(t);
+  design::Design design("d");
+  design.add(ds("a", 4096, 1));
+  design.add(ds("b", 4096, 1));
+  design.set_all_conflicting();
+  const CostTable table(design, board);
+  GlobalAssignment assignment;
+  assignment.type_of = {0, 0};
+  const DetailedMapping mapping =
+      map_detailed(design, board, table, assignment);
+  ASSERT_TRUE(mapping.success) << mapping.failure;
+  EXPECT_EQ(mapping.instances_used(0), 2);
+  EXPECT_TRUE(validate_mapping(design, board, assignment, mapping).empty());
+}
+
+/// The buddy allocator as a map of free lists per block size: the
+/// reference for the packer's bit-mask allocator.
+class FreeListBuddy {
+ public:
+  explicit FreeListBuddy(std::int64_t capacity_bits) {
+    free_[capacity_bits].push_back(0);
+  }
+
+  std::int64_t allocate(std::int64_t size) {
+    auto it = free_.lower_bound(size);
+    while (it != free_.end() && it->second.empty()) ++it;
+    if (it == free_.end()) return -1;
+    std::int64_t block_size = it->first;
+    const std::int64_t offset = it->second.back();
+    it->second.pop_back();
+    while (block_size > size) {
+      block_size /= 2;
+      free_[block_size].push_back(offset + block_size);
+    }
+    return offset;
+  }
+
+ private:
+  std::map<std::int64_t, std::vector<std::int64_t>> free_;
+};
+
+// Replays every instance's fragments, in placement order, through the
+// free-list allocator: each fragment that opened its own block (not an
+// overlap joiner, which reuses an earlier block's offset) must sit at the
+// offset the reference hands out.  Random designs on the Table-3 boards,
+// half with lifetime-derived conflicts, random feasible assignments (some
+// run out of instances part way; their partial placements count too),
+// overlap on and off.
+TEST(DetailedMapper, BuddyOffsetsMatchAFreeListReference) {
+  std::int64_t compared = 0, joiners = 0;
+  for (int seed = 0; seed < 300; ++seed) {
+    const workload::Table3Point& point =
+        workload::table3_points()[static_cast<std::size_t>(seed) % 9];
+    const std::optional<arch::Board> board =
+        workload::board_from_totals(point.totals);
+    ASSERT_TRUE(board.has_value());
+    workload::DesignGenOptions gen;
+    gen.num_segments = point.segments;
+    gen.seed = 9100 + static_cast<std::uint64_t>(seed);
+    gen.all_conflicting = seed % 2 == 0;
+    const design::Design design = workload::generate_design(*board, gen);
+    const CostTable table(design, *board);
+    support::Rng rng(static_cast<std::uint64_t>(seed));
+    GlobalAssignment assignment;
+    for (std::size_t d = 0; d < design.size(); ++d) {
+      std::vector<int> feasible;
+      for (std::size_t t = 0; t < board->num_types(); ++t) {
+        if (table.feasible(d, t)) feasible.push_back(static_cast<int>(t));
+      }
+      ASSERT_FALSE(feasible.empty());
+      assignment.type_of.push_back(rng.pick(feasible));
+    }
+    for (const bool overlap : {true, false}) {
+      DetailedOptions options;
+      options.allow_overlap = overlap;
+      const DetailedMapping mapping =
+          map_detailed(design, *board, table, assignment, options);
+      struct Replay {
+        FreeListBuddy buddy;
+        std::vector<std::int64_t> offsets;  // blocks opened so far
+      };
+      std::map<std::pair<std::size_t, std::int64_t>, Replay> instances;
+      for (const PlacedFragment& f : mapping.fragments) {
+        const std::int64_t capacity = board->type(f.type).capacity_bits();
+        Replay& replay =
+            instances.try_emplace({f.type, f.instance}, Replay{
+                FreeListBuddy(capacity), {}}).first->second;
+        if (std::find(replay.offsets.begin(), replay.offsets.end(),
+                      f.offset_bits) != replay.offsets.end()) {
+          EXPECT_TRUE(overlap) << "seed " << seed;
+          ++joiners;
+          continue;
+        }
+        EXPECT_EQ(f.offset_bits, replay.buddy.allocate(f.block_bits))
+            << "seed " << seed << " overlap " << overlap << " type "
+            << f.type << " instance " << f.instance;
+        replay.offsets.push_back(f.offset_bits);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 10'000);
+  EXPECT_GT(joiners, 0);
 }
 
 // Property: on dual-ported banks, any assignment satisfying the aggregate
