@@ -3,8 +3,8 @@
 // BENCH_cache.json.
 //
 //   (probe)     — generated instances vary wildly in hardness (some
-//       close in a handful of B&B nodes, where neither replay nor a warm
-//       start has anything to save), so the bench first solves a few
+//       close in a handful of B&B nodes, where neither replay nor pins
+//       have anything to save), so the bench first solves a few
 //       candidate instances and keeps the one with the deepest tree;
 //       (a) and (b) measure the cache mechanisms on THAT instance.
 //   (a) replay  — one cold solve through MappingService, then N exact
@@ -13,10 +13,12 @@
 //       cold-seconds / median-replay-seconds speedup (target >= 10x —
 //       replay pays fingerprint + verification only, no B&B).
 //   (b) warm    — traffic-mutated re-solves, cold map_pipeline vs
-//       mapping::remap seeded with the prior assignment as a MIP start
-//       (no pins, no migration penalty, so the MODEL is identical and the
-//       proved objective must match exactly); the claim is strictly fewer
-//       total B&B nodes from incumbent-first pruning.
+//       mapping::remap from the prior assignment with every structure but
+//       the mutated one pinned onto its prior type and a 1e-3 migration
+//       penalty (the service's near-miss configuration).  The pinned model
+//       is a restriction of the cold one, so the proved objective must
+//       still match the cold optimum exactly on this workload; the claim
+//       is strictly fewer total B&B nodes.
 //   (c) stream  — a mixed request stream (repeats / traffic mutants /
 //       fresh designs) through the service; reports the hit/miss/
 //       near-miss split and the end-to-end hit rate.
@@ -139,7 +141,7 @@ int main() {
   const std::int64_t stream = env_knob("GMM_BENCH_CACHE_STREAM", 40, 1, 100'000);
 
   // Exact sub-integer-gap contract so (b)'s "identical objective" is an
-  // equality, not a tolerance (see tests/ilp/mip_start_test.cpp).
+  // equality, not a tolerance (see tests/mapping/pins_test.cpp).
   mapping::PipelineOptions exact;
   exact.global.mip.num_threads = 1;
   exact.global.mip.rel_gap = 0.0;
@@ -233,7 +235,7 @@ int main() {
                 bench::jbool("pass", speedup >= 10.0)});
   }
 
-  // ---- (b) MIP-start re-solve vs cold on traffic mutants ------------------
+  // ---- (b) pinned re-solve vs cold on traffic mutants ---------------------
   {
     const design::Design& base = design;
     std::int64_t cold_nodes = 0, warm_nodes = 0;
@@ -247,9 +249,9 @@ int main() {
           traffic_mutant(base, static_cast<int>(k), 10 * (k + 1));
       const mapping::PipelineResult cold =
           mapping::map_pipeline(mutant, board, exact);
-      // The service's near-miss configuration: MIP start from the prior
-      // mapping, every traffic-unchanged structure pinned in place, and
-      // the (reporting-neutral) migration bias.  The solver proves the
+      // The service's near-miss configuration: every traffic-unchanged
+      // structure pinned onto its prior type, and the (reporting-neutral)
+      // migration bias.  The solver proves the
       // optimum of the delta only — the parity check below asserts that
       // equals the full cold optimum on this workload.
       mapping::RemapOptions remap_options{.pipeline = exact,
@@ -272,13 +274,12 @@ int main() {
       cold_seconds += cold.effort.total_seconds();
       warm_seconds += warm.result.effort.total_seconds();
       std::printf("warm: mutant %lld cold %6lld nodes %.3fs | warm %6lld "
-                  "nodes %.3fs%s%s\n",
+                  "nodes %.3fs%s\n",
                   static_cast<long long>(k),
                   static_cast<long long>(cold.effort.bnb_nodes),
                   cold.effort.total_seconds(),
                   static_cast<long long>(warm.result.effort.bnb_nodes),
                   warm.result.effort.total_seconds(),
-                  warm.warm_used ? "" : "  [start rejected]",
                   ok ? "" : "  [OBJECTIVE MISMATCH]");
     }
     const bool fewer = warm_nodes < cold_nodes;

@@ -18,6 +18,27 @@ std::string line_error(int line, const std::string& message) {
   return "line " + std::to_string(line) + ": " + message;
 }
 
+/// The board totals (Board::total_bits, total_ports, total_banks and
+/// total_configs) of the types parsed so far.
+struct Totals {
+  std::int64_t bits = 0, ports = 0, banks = 0, configs = 0;
+};
+
+/// Add a validated type to `totals`; false when a total overflows int64.
+bool add_to_totals(const BankType& type, Totals& totals) {
+  std::int64_t configs = 0;
+  return !__builtin_add_overflow(totals.bits, type.total_bits(),
+                                 &totals.bits) &&
+         !__builtin_add_overflow(totals.ports, type.total_ports(),
+                                 &totals.ports) &&
+         !__builtin_add_overflow(totals.banks, type.instances,
+                                 &totals.banks) &&
+         !__builtin_mul_overflow(type.total_ports(),
+                                 type.multi_config() ? type.num_configs() : 0,
+                                 &configs) &&
+         !__builtin_add_overflow(totals.configs, configs, &totals.configs);
+}
+
 }  // namespace
 
 BoardParseResult parse_board(std::istream& in) {
@@ -26,6 +47,7 @@ BoardParseResult parse_board(std::istream& in) {
   int line_no = 0;
   bool in_type = false;
   BankType current;
+  Totals totals;
 
   const auto fail = [&result](int line_number, const std::string& message) {
     result.ok = false;
@@ -105,6 +127,9 @@ BoardParseResult parse_board(std::istream& in) {
       if (!in_type) return fail(line_no, "'end' without banktype");
       const std::string problem = current.validate();
       if (!problem.empty()) return fail(line_no, problem);
+      if (!add_to_totals(current, totals)) {
+        return fail(line_no, current.name + ": board totals overflow int64");
+      }
       result.board.add_bank_type(current);
       in_type = false;
     } else {

@@ -31,12 +31,27 @@ std::string BankType::validate() const {
     return name + ": negative latency";
   }
   if (pins_traversed < 0) return name + ": negative pin count";
-  const std::int64_t capacity = configs.front().capacity_bits();
+  // Every product the mappers form from a type must fit in int64: text
+  // from the wire can carry any 19-digit value.
+  std::int64_t product = 0;
   for (const BankConfig& c : configs) {
     if (c.depth <= 0 || c.width <= 0) {
       return name + ": configuration " + c.to_string() +
              " has a non-positive dimension";
     }
+    if (__builtin_mul_overflow(c.depth, c.width, &product) ||
+        __builtin_mul_overflow(c.depth, ports, &product)) {
+      return name + ": configuration " + c.to_string() +
+             " overflows int64 in depth x width or depth x ports";
+    }
+  }
+  const std::int64_t capacity = configs.front().capacity_bits();
+  if (__builtin_mul_overflow(instances, ports, &product) ||
+      __builtin_mul_overflow(instances, capacity, &product)) {
+    return name + ": instances x ports or instances x capacity overflows "
+                  "int64";
+  }
+  for (const BankConfig& c : configs) {
     if (!support::is_pow2(c.depth)) {
       return name + ": configuration " + c.to_string() +
              " depth is not a power of two (required by the pow-2 "

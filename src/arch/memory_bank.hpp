@@ -57,7 +57,9 @@ struct BankType {
 
   /// Validate the paper's structural assumptions: at least one config,
   /// positive sizes, power-of-two depths, constant capacity across
-  /// configurations.  Returns an empty string when valid, else a message.
+  /// configurations; and that depth x width and depth x ports of every
+  /// configuration, instances x ports and instances x capacity fit in
+  /// int64.  Returns an empty string when valid, else a message.
   [[nodiscard]] std::string validate() const;
 };
 

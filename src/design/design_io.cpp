@@ -21,6 +21,7 @@ DesignParseResult parse_design(std::istream& in) {
   std::map<std::string, std::size_t> by_name;
   std::string line;
   int line_no = 0;
+  std::int64_t total_bits = 0;  // Design::total_bits of the segments so far
 
   const auto fail = [&result](int line_number, const std::string& message) {
     result.ok = false;
@@ -86,6 +87,13 @@ DesignParseResult parse_design(std::istream& in) {
       }
       if (ds.depth <= 0 || ds.width <= 0) {
         return fail(line_no, "segment needs positive depth and width");
+      }
+      std::int64_t bits = 0;
+      if (__builtin_mul_overflow(ds.depth, ds.width, &bits) ||
+          __builtin_add_overflow(total_bits, bits, &total_bits)) {
+        return fail(line_no, ds.name +
+                                 ": depth x width or the design's total "
+                                 "bits overflow int64");
       }
       // Copy the name out before the move: the assignment's right side is
       // evaluated first (C++17), which would gut ds.name.

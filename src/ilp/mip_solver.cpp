@@ -789,21 +789,6 @@ MipResult Search::run() {
   working_ = pre_.reduced;
   reduced_ = &working_;
 
-  // ---- MIP start --------------------------------------------------------
-  // Seed the incumbent BEFORE the cut loop: a search stopped during the
-  // loop still returns it, and best-first pruning (and the queued-node
-  // prune check) bites from node one.  offer_incumbent validates the
-  // candidate, so a stale or infeasible start degrades to a no-op
-  // instead of corrupting the search.  Offered before the empty-model
-  // return too, so a model that presolve decides outright still reports
-  // whether its start was used.
-  if (static_cast<Index>(options_.mip_start.size()) == original_.num_vars() &&
-      original_.num_vars() > 0) {
-    offer_incumbent(options_.mip_start);
-    result_.mip_start_used =
-        incumbent_snapshot_.load(std::memory_order_relaxed) < kInf;
-  }
-
   if (reduced_->num_vars() == 0) {
     offer_incumbent(lp::postsolve(pre_, {}));
     result_.status = incumbent_x_.empty() ? SolveStatus::kInfeasible
@@ -965,28 +950,9 @@ double MipResult::gap() const {
   return (objective - best_bound) / std::max(1e-9, std::abs(objective));
 }
 
-MipSolver::MipSolver(MipOptions options) : options_(std::move(options)) {}
-
-MipResult MipSolver::solve(const lp::Model& model) {
-  if (!options_.pinned_vars.empty()) {
-    // Pins collapse bounds on a COPY so the caller's model is untouched.
-    // The Search then validates incumbents (including the MIP start)
-    // against the pinned model, so a start conflicting with a pin is
-    // rejected rather than smuggled past the pins.
-    lp::Model pinned = model;
-    for (const auto& [j, v] : options_.pinned_vars) {
-      if (j >= 0 && j < pinned.num_vars()) pinned.set_var_bounds(j, v, v);
-    }
-    Search search(pinned, options_);
-    return search.run();
-  }
-  Search search(model, options_);
-  return search.run();
-}
-
 MipResult solve_mip(const lp::Model& model, const MipOptions& options) {
-  MipSolver solver(options);
-  return solver.solve(model);
+  Search search(model, options);
+  return search.run();
 }
 
 }  // namespace gmm::ilp

@@ -67,8 +67,8 @@ using PrimalHeuristic = std::function<std::optional<std::vector<double>>(
 
 /// What a RelaxationBound sees, all in ORIGINAL variable space.
 struct RelaxationQuery {
-  /// Current global bounds of every variable: the model's own, pins and
-  /// presolve reductions.
+  /// Current global bounds of every variable: the model's own and
+  /// presolve's reductions.
   std::vector<double> lb, ub;
   /// Dual of every ORIGINAL row in the last root LP the cut loop solved
   /// (0 where presolve removed the row); empty when no root LP was solved.
@@ -172,21 +172,6 @@ struct MipOptions {
   /// runs, so a watchdog can tell a slow solve from a wedged one and
   /// force-cancel the latter.  nullptr (the default) costs nothing.
   std::shared_ptr<std::atomic<std::int64_t>> progress;
-  /// Optional warm incumbent ("MIP start") in ORIGINAL variable space,
-  /// installed at the root before any node solves so best-first pruning
-  /// bites from node one.  The start is validated against the model like
-  /// any other incumbent candidate; an infeasible or wrong-length start
-  /// is silently ignored.  A start only ever SEEDS the incumbent — it
-  /// never constrains the search — so it cannot change the proved
-  /// optimal objective, only the node count reaching it.
-  std::vector<double> mip_start;
-  /// Hard variable pins (index, value) applied to a copy of the model
-  /// before solving: both bounds collapse onto the value.  Unlike the
-  /// MIP start these genuinely constrain the search — the solver proves
-  /// the optimum of the PINNED model (incremental re-solves use this to
-  /// freeze unchanged structures and re-optimize only the delta).
-  /// Out-of-range indices are ignored.
-  std::vector<std::pair<lp::Index, double>> pinned_vars;
 };
 
 struct MipResult {
@@ -217,9 +202,6 @@ struct MipResult {
   /// snapshots stored/loaded/evicted plus the dual-pivot split between
   /// warm-started and cold heap pops.
   lp::BasisCacheStats basis;
-  /// The MipOptions::mip_start validated feasible and seeded the root
-  /// incumbent (false when no start was given or it failed validation).
-  bool mip_start_used = false;
   double seconds = 0.0;
 
   [[nodiscard]] bool has_incumbent() const { return !x.empty(); }
@@ -227,19 +209,8 @@ struct MipResult {
   [[nodiscard]] double gap() const;
 };
 
-class MipSolver {
- public:
-  explicit MipSolver(MipOptions options = {});
-
-  /// Solve a minimization MILP.  Thread-compatible: distinct MipSolver
-  /// instances may run concurrently on distinct models.
-  MipResult solve(const lp::Model& model);
-
- private:
-  MipOptions options_;
-};
-
-/// Convenience one-shot call.
+/// Solve a minimization MILP.  Thread-compatible: concurrent calls on
+/// distinct models are safe.
 MipResult solve_mip(const lp::Model& model, const MipOptions& options = {});
 
 }  // namespace gmm::ilp

@@ -1,6 +1,6 @@
 // One-call LP solving facade over presolve + standard form + dual simplex.
 //
-// For mixed-integer models use gmm::ilp::MipSolver, which drives the same
+// For mixed-integer models use gmm::ilp::solve_mip, which drives the same
 // engine through branch & bound.  solve_lp() relaxes integrality.
 #pragma once
 

@@ -8,14 +8,18 @@ namespace gmm::mapping {
 CostBreakdown assignment_cost(const design::DataStructure& ds,
                               const arch::BankType& type,
                               const PlacementPlan& plan) {
+  // Products in double: access counts from the wire can be 19 digits
+  // long, and every product below 2^53 is exact, as the int64 one was.
+  const auto times = [](std::int64_t a, std::int64_t b) {
+    return static_cast<double>(a) * static_cast<double>(b);
+  };
   CostBreakdown cost;
-  cost.latency =
-      static_cast<double>(ds.effective_reads() * type.read_latency +
-                          ds.effective_writes() * type.write_latency);
-  cost.pin_delay = static_cast<double>(ds.depth * type.pins_traversed);
+  cost.latency = times(ds.effective_reads(), type.read_latency) +
+                 times(ds.effective_writes(), type.write_latency);
+  cost.pin_delay = times(ds.depth, type.pins_traversed);
   if (plan.feasible) {
-    cost.pin_io = static_cast<double>(
-        (support::ilog2_ceil(plan.cd) + plan.cw) * type.pins_traversed);
+    cost.pin_io = times(support::ilog2_ceil(plan.cd) + plan.cw,
+                        type.pins_traversed);
   }
   return cost;
 }

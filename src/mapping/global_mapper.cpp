@@ -26,21 +26,34 @@ std::optional<GlobalModel> formulate_global(const design::Design& design,
 
   // ---- variables: Z_dt for feasible pairs only -------------------------
   z.assign(num_ds, std::vector<lp::Index>(num_types, lp::kInvalidIndex));
-  // Migration penalties (incremental re-solve): moving structure d off
-  // its prior type costs extra, steering the delta re-optimization toward
-  // minimal-disturbance remaps.  The penalty lives only in the model's
-  // objective; map_global recomputes the reported assignment objective as
-  // the pure mapping cost so cold and warm solves stay comparable.
-  const bool migration_active =
-      options.migration_penalty > 0.0 &&
-      options.warm_assignment.size() == num_ds;
+  // Pins and migration penalties (incremental re-solve).  A structure
+  // pinned onto a feasible prior type gets that column alone; moving an
+  // unpinned structure off its prior type costs extra, steering the delta
+  // re-optimization toward minimal-disturbance remaps.  The penalty lives
+  // only in the model's objective; map_global recomputes the reported
+  // assignment objective as the pure mapping cost so cold and near-miss
+  // solves stay comparable.
+  const bool has_prior = options.prior_type_of.size() == num_ds;
+  const bool migration_active = options.migration_penalty > 0.0 && has_prior;
+  std::vector<int> pinned_to(num_ds, -1);
+  for (const std::size_t d : options.pinned_structures) {
+    if (!has_prior || d >= num_ds) continue;
+    const int t = options.prior_type_of[d];
+    if (t >= 0 && static_cast<std::size_t>(t) < num_types &&
+        table.feasible(d, static_cast<std::size_t>(t))) {
+      pinned_to[d] = t;
+    }
+  }
   for (std::size_t d = 0; d < num_ds; ++d) {
     bool any = false;
     for (std::size_t t = 0; t < num_types; ++t) {
-      if (!table.feasible(d, t)) continue;
+      if (!table.feasible(d, t) ||
+          (pinned_to[d] >= 0 && static_cast<int>(t) != pinned_to[d])) {
+        continue;
+      }
       double coef = table.cost(d, t);
-      if (migration_active && options.warm_assignment[d] >= 0 &&
-          static_cast<std::size_t>(options.warm_assignment[d]) != t) {
+      if (migration_active && options.prior_type_of[d] >= 0 &&
+          static_cast<std::size_t>(options.prior_type_of[d]) != t) {
         coef += options.migration_penalty;
       }
       z[d][t] = model.add_binary(coef);
@@ -142,7 +155,7 @@ GlobalResult map_global(const design::Design& design,
   const std::vector<std::vector<lp::Index>>& z = formulated->z;
   const bool migration_active =
       options.migration_penalty > 0.0 &&
-      options.warm_assignment.size() == num_ds;
+      options.prior_type_of.size() == num_ds;
   result.model_size.variables = model.num_vars();
   result.model_size.binaries = model.num_vars();
   result.model_size.rows = model.num_rows();
@@ -192,38 +205,6 @@ GlobalResult map_global(const design::Design& design,
                                    formulated->cliques,
                                    formulated->uniqueness_rows);
   mip_options.relaxation_bound = std::cref(lagrangian);
-
-  // ---- warm start + pins (incremental re-solve) ---------------------------
-  // The prior mapping seeds the B&B incumbent; pinned structures collapse
-  // onto their prior type so the ILP proves the optimum over the delta
-  // only.  Any entry referencing an infeasible pair voids the warm start
-  // (a partial start would be infeasible anyway) and skips that pin.
-  if (options.warm_assignment.size() == num_ds) {
-    std::vector<double> start(static_cast<std::size_t>(model.num_vars()),
-                              0.0);
-    bool complete = true;
-    for (std::size_t d = 0; d < num_ds && complete; ++d) {
-      const int t = options.warm_assignment[d];
-      if (t < 0 || static_cast<std::size_t>(t) >= num_types ||
-          z[d][t] == lp::kInvalidIndex) {
-        complete = false;
-        break;
-      }
-      start[z[d][t]] = 1.0;
-    }
-    if (complete) mip_options.mip_start = std::move(start);
-    for (const std::size_t d : options.pinned_structures) {
-      if (d >= num_ds) continue;
-      const int t = options.warm_assignment[d];
-      if (t < 0 || static_cast<std::size_t>(t) >= num_types ||
-          z[d][t] == lp::kInvalidIndex) {
-        continue;
-      }
-      // Pinning Z_dt = 1 plus the uniqueness row forces the structure's
-      // remaining variables to 0; no explicit zero-pins needed.
-      mip_options.pinned_vars.emplace_back(z[d][t], 1.0);
-    }
-  }
 
   // ---- solve --------------------------------------------------------------
   timer.reset();

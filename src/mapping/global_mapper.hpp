@@ -12,6 +12,10 @@
 //
 // Objective: the CostTable's weighted latency + pin-delay + pin-I/O.
 //
+// Near misses (remap.hpp): a structure pinned onto its prior type gets
+// that type's column alone, so its uniqueness row is the singleton
+// Z_dt* = 1 and presolve fixes it before the search starts.
+//
 // Solving: the branch and bound separates lifted covers of the port and
 // capacity knapsacks at the root, runs a greedy budget repair as primal
 // heuristic at every node, and calls a Lagrangian knapsack bound
@@ -42,18 +46,18 @@ struct GlobalOptions {
   /// retry loop): for each entry S, add sum_{(d,t) in S} Z_dt <= |S| - 1,
   /// forbidding that exact co-assignment from recurring.
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> no_good_cuts;
-  /// Prior assignment (type index per structure, -1 = unknown) injected as
-  /// a MIP start: the B&B root starts with the prior mapping's cost as its
-  /// incumbent and prunes from node one.  A start never constrains the
-  /// search, so the proved objective is unchanged — only the node count.
-  /// Entries referencing infeasible (d, t) pairs void the whole start.
-  std::vector<int> warm_assignment;
-  /// Structures pinned to their prior type (index into the design; the
-  /// type is taken from warm_assignment).  Pins DO constrain the search:
-  /// the ILP proves the optimum over the unpinned delta only, which is
-  /// the incremental-re-solve contract.  Requires warm_assignment.
+  /// Prior assignment (type index per structure, -1 = unknown), such as
+  /// the cached mapping of a near miss.  It only says which type a pin or
+  /// the migration penalty refers to, and is ignored unless it has one
+  /// entry per structure.
+  std::vector<int> prior_type_of;
+  /// Structures pinned to their prior type (index into the design).  A
+  /// pinned structure whose prior type is in range and feasible keeps
+  /// that type's column only, so the ILP proves the optimum over the
+  /// unpinned delta, which is the incremental-re-solve contract; other
+  /// entries are ignored.  Requires prior_type_of.
   std::vector<std::size_t> pinned_structures;
-  /// Per-structure cost added to every Z_dt with t != warm_assignment[d]
+  /// Per-structure cost added to every Z_dt with t != prior_type_of[d]
   /// (0 = off).  Steers the delta re-solve toward minimal-disturbance
   /// remaps; the reported assignment objective is still the PURE mapping
   /// cost (recomputed from the cost table), so objectives stay comparable
@@ -72,7 +76,8 @@ struct GlobalResult {
 /// The global ILP of one design on one board, as map_global solves it.
 struct GlobalModel {
   lp::Model model;
-  /// Z_dt per (structure, type); kInvalidIndex for infeasible pairs.
+  /// Z_dt per (structure, type); kInvalidIndex for infeasible pairs and
+  /// for a pinned structure's other types.
   std::vector<std::vector<lp::Index>> z;
   /// The row sum_t Z_dt = 1 of each structure.
   std::vector<lp::Index> uniqueness_rows;
@@ -80,9 +85,9 @@ struct GlobalModel {
   std::vector<std::vector<std::size_t>> cliques;
 };
 
-/// Build the model: variables, rows, migration penalties and no-good
-/// cuts from `options` (the warm start and pins are solver options, not
-/// rows).  nullopt when some structure fits no bank type.
+/// Build the model: variables, rows, pins, migration penalties and
+/// no-good cuts from `options`.  nullopt when some structure fits no bank
+/// type.
 std::optional<GlobalModel> formulate_global(const design::Design& design,
                                             const arch::Board& board,
                                             const CostTable& table,

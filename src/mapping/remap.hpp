@@ -2,11 +2,8 @@
 // already mapped, reusing the prior mapping instead of re-proving the ILP
 // from scratch.
 //
-// Three mechanisms, all optional and composable:
+// Two mechanisms, both optional and composable:
 //
-//   * MIP start — the prior assignment seeds the B&B incumbent, so
-//     best-first pruning bites from node one.  Never changes the proved
-//     objective (starts only seed, never constrain).
 //   * pins — structures whose parameters did not change are frozen onto
 //     their prior type; the ILP re-optimizes only the delta.  Pins DO
 //     constrain the search (that is the point), so the caller decides
@@ -14,13 +11,14 @@
 //     a placement depends only on depth x width (the placement plans),
 //     not on traffic, so pinning the traffic-unchanged structures of a
 //     traffic-only mutation preserves feasibility of the prior mapping.
-//     Pins collapse in presolve: a pinned Z_dt* = 1 leaves its uniqueness
-//     row a forcing row sum_{t != t*} Z_dt = 0, so the structure's other
-//     columns are fixed at 0 and the row goes, and capacity rows the pins
-//     leave slack go as redundant.  The LP the search sees holds the free
-//     structures alone (Table-3 point 9 with two free structures: 285
-//     columns x 131 rows before forcing rows, 4 x 2 after), and a delta
-//     presolve decides outright never reaches the search.
+//     Pins are part of the formulation: formulate_global gives a pinned
+//     structure its prior type's column alone, so its uniqueness row is
+//     the singleton Z_dt* = 1, which presolve folds into a fixed column,
+//     and capacity rows the pins fill exactly leave as forcing rows or,
+//     when slack, as redundant.  The LP the search sees holds the free
+//     structures alone (Table-3 point 9 with two free structures: 4
+//     columns x 2 rows), and a delta presolve decides outright never
+//     reaches the search.
 //   * migration penalty — moving a structure off its prior type costs
 //     extra in the model, steering the delta toward minimal-disturbance
 //     remaps (arXiv:2003.10472's "local reconfiguration" regime).  The
@@ -49,8 +47,6 @@ struct RemapOptions {
 
 struct RemapResult {
   PipelineResult result;
-  /// The prior assignment validated feasible and seeded the incumbent.
-  bool warm_used = false;
   /// The incremental solve failed and the cold fallback ran.
   bool fell_back_cold = false;
 };

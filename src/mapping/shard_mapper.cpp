@@ -1,7 +1,6 @@
 #include "mapping/shard_mapper.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <numeric>
 #include <string>
@@ -9,9 +8,9 @@
 
 #include "ilp/mip_solver.hpp"
 #include "lp/model.hpp"
-#include "mapping/batch_mapper.hpp"
 #include "support/assert.hpp"
 #include "support/log.hpp"
+#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace gmm::mapping {
@@ -308,18 +307,6 @@ ShardResult map_sharded(const design::Design& design,
     return key;
   };
 
-  // Last solved assignment per (part index, device), keyed by global
-  // structure index.  A migration changes two parts; their next-round
-  // re-solves miss the candidate_cache, but the surviving structures
-  // keep their prior types — which seeds the B&B as a MIP start so the
-  // re-solve prunes from node one.  Starts never constrain the search,
-  // so the per-candidate objectives (and the deterministic sharded
-  // objective) are unchanged; only node counts drop.
-  std::map<std::string, std::map<std::size_t, int>> last_assignment;
-  const auto warm_key = [](std::size_t part, std::size_t dev) {
-    return std::to_string(part) + "|" + std::to_string(dev);
-  };
-
   support::ThreadPool pool(options.num_workers);  // candidate fan-out
   const char* infeasible_reason = "repair round budget exhausted";
   for (int round = 0; round <= kMaxRepairRounds; ++round) {
@@ -396,62 +383,29 @@ ShardResult map_sharded(const design::Design& design,
     // Fan the UNCACHED candidate pipelines out over the pool.
     std::vector<const PipelineResult*> results(candidates.size(), nullptr);
     std::vector<std::size_t> uncached;
-    std::vector<BatchItem> items;
-    std::deque<PipelineOptions> warm_options;  // stable addresses for items
     for (std::size_t c = 0; c < candidates.size(); ++c) {
-      const Candidate& cand = candidates[c];
       const auto it = candidate_cache.find(
-          candidate_key(members[cand.part], cand.dev));
+          candidate_key(members[candidates[c].part], candidates[c].dev));
       if (it != candidate_cache.end()) {
         results[c] = &it->second;
       } else {
         uncached.push_back(c);
-        BatchItem item{.design = &subs[cand.part], .board = &views[cand.dev]};
-        const auto prior = last_assignment.find(warm_key(cand.part, cand.dev));
-        if (prior != last_assignment.end()) {
-          std::vector<int> warm(members[cand.part].size(), -1);
-          bool complete = true;
-          for (std::size_t j = 0; j < members[cand.part].size(); ++j) {
-            const auto type = prior->second.find(members[cand.part][j]);
-            if (type == prior->second.end()) {
-              // A freshly migrated-in structure has no prior type here; a
-              // partial start cannot validate, so solve this one cold.
-              complete = false;
-              break;
-            }
-            warm[j] = type->second;
-          }
-          if (complete) {
-            warm_options.push_back(options.pipeline);
-            warm_options.back().global.warm_assignment = std::move(warm);
-            item.options = &warm_options.back();
-          }
-        }
-        items.push_back(item);
       }
     }
-    std::vector<PipelineResult> batch =
-        map_batch(pool, items, options.pipeline);
-    out.stats.candidate_solves += static_cast<std::int64_t>(items.size());
+    std::vector<PipelineResult> batch(uncached.size());
+    support::parallel_for(pool, uncached.size(), [&](std::size_t i) {
+      const Candidate& cand = candidates[uncached[i]];
+      batch[i] = map_pipeline(subs[cand.part], views[cand.dev],
+                              options.pipeline);
+    });
+    out.stats.candidate_solves += static_cast<std::int64_t>(uncached.size());
     for (std::size_t i = 0; i < uncached.size(); ++i) {
       const Candidate& cand = candidates[uncached[i]];
       out.total_effort += batch[i].effort;
-      if (batch[i].mip.mip_start_used) ++out.stats.warm_started;
       // std::map nodes are stable, so the pointer survives later inserts.
       results[uncached[i]] =
           &(candidate_cache[candidate_key(members[cand.part], cand.dev)] =
                 std::move(batch[i]));
-    }
-    // Refresh the per-(part, device) prior assignments for the next round.
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (results[c] == nullptr || !solved(*results[c])) continue;
-      const Candidate& cand = candidates[c];
-      std::map<std::size_t, int>& prior =
-          last_assignment[warm_key(cand.part, cand.dev)];
-      prior.clear();
-      for (std::size_t j = 0; j < members[cand.part].size(); ++j) {
-        prior[members[cand.part][j]] = results[c]->assignment.type_of[j];
-      }
     }
     if (stopped()) return out;
 

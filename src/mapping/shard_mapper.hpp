@@ -13,15 +13,15 @@
 //      is exactly what the stitch objective charges for;
 //   2. FAN OUT the per-device global/detailed pipelines: every
 //      (part, device) candidate whose bits fit is solved concurrently
-//      over a support::ThreadPool via the map_batch machinery, each
-//      candidate an independent, deterministic map_pipeline run on the
-//      device's single-device board view;
+//      with support::parallel_for, each candidate an independent,
+//      deterministic map_pipeline run on the device's single-device
+//      board view;
 //   3. STITCH with a small assignment ILP over the candidates: binary
 //      Y_pk ("part p lands on device k"), cost = the candidate's solved
 //      objective + (part p's incident cut traffic) *
 //      (device k's inter_device_pins), one-device-per-part equality rows
 //      and at-most-one-part-per-device rows, solved exactly (gap 0) by
-//      the in-tree MipSolver;
+//      ilp::solve_mip;
 //   4. REPAIR: a part that is infeasible on every device migrates its
 //      largest structure to the part with the most slack and the loop
 //      re-solves, up to 8 rounds, after which the result is reported
@@ -66,9 +66,6 @@ struct ShardStats {
   int repair_rounds = 0;     // migration rounds the repair loop ran
   std::int64_t migrations = 0;        // structures moved between parts
   std::int64_t candidate_solves = 0;  // per-device pipelines executed
-  /// Candidate solves whose B&B was seeded with the previous round's
-  /// assignment for the same (part, device) pair (MIP start accepted).
-  std::int64_t warm_started = 0;
   std::int64_t cut_edges = 0;    // conflict edges crossing devices
   double stitch_cost = 0.0;      // weighted inter-device transfer term
   double stitch_seconds = 0.0;   // top-level assignment ILP wall clock

@@ -409,10 +409,10 @@ CacheLookup SolutionCache::lookup(const design::Design& design,
                      << request_id << "'); answering with a cold solve";
     }
   }
-  // Near-miss warm re-solves are global only (SolveSpec's prior).
+  // Near-miss re-solves are global only (SolveSpec's prior).
   if (formulation != mapping::Formulation::kGlobal) return out;
   const std::optional<CacheEntry> prior = find_structural(key.structural);
-  // Pins and the MIP start only carry over within one conflict relation;
+  // A prior and its pins only carry over within one conflict relation;
   // a colliding structural key is a plain miss too.
   if (!prior.has_value() || prior->conflicts_by_rank != key.conflicts_by_rank) {
     return out;

@@ -30,10 +30,11 @@
 //     indexes entries by shape alone.  A request that matches an entry
 //     structurally (and in its conflict relation over canonical ranks)
 //     but not exactly changed only access counts; the lookup then hands
-//     back the cached assignment as a prior (MIP start) plus the
-//     structures whose full parameter hashes still match (pins) for
-//     mapping::remap, instead of a cold solve.  Placement feasibility
-//     never depends on traffic, so the warm start is always valid.
+//     back the cached assignment as a prior plus the structures whose
+//     full parameter hashes still match, which mapping::remap pins to
+//     their prior types in the formulation, instead of a cold solve.
+//     Placement feasibility never depends on traffic, so the prior
+//     assignment stays feasible under its pins.
 //
 // Only PROVED results are inserted (solve status kOptimal with B&B stop
 // reason kOptimal): node/time budgets then never need to be part of the

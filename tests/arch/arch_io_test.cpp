@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/device_catalog.hpp"
 
 namespace gmm::arch {
@@ -148,6 +151,42 @@ TEST(ArchIo, RejectsBadDeviceDirectives) {
     EXPECT_FALSE(r.ok) << text;
     EXPECT_FALSE(r.error.empty()) << text;
   }
+}
+
+TEST(ArchIo, RejectsProductsThatOverflowInt64) {
+  // Each board is valid apart from one product (or running total) past
+  // 2^63; the error names the type instead of overflowing.
+  const std::string type_line =
+      "banktype big instances 2 ports 2 rl 1 wl 1 pins 2\n";
+  const std::vector<std::string> boards = {
+      // depth x width of one configuration (the capacity)
+      type_line + "config 4611686018427387904 4\nend\n",
+      // depth x ports of one configuration
+      "banktype big instances 1 ports 4 rl 1 wl 1 pins 2\n"
+      "config 4611686018427387904 1\nend\n",
+      // instances x ports
+      "banktype big instances 4611686018427387904 ports 4 rl 1 wl 1 "
+      "pins 2\nconfig 1 1\nend\n",
+      // instances x capacity
+      "banktype big instances 4611686018427387904 ports 1 rl 1 wl 1 "
+      "pins 2\nconfig 4 1\nend\n",
+      // the board's running total bits: 2^62 + 2^62
+      "banktype first instances 1 ports 1 rl 1 wl 1 pins 2\n"
+      "config 4611686018427387904 1\nend\n"
+      "banktype big instances 1 ports 1 rl 1 wl 1 pins 2\n"
+      "config 4611686018427387904 1\nend\n",
+  };
+  for (const std::string& text : boards) {
+    const BoardParseResult r = parse_board_string(text);
+    EXPECT_FALSE(r.ok) << text;
+    EXPECT_NE(r.error.find("big"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("overflow"), std::string::npos) << r.error;
+  }
+  // The largest products that still fit parse.
+  const BoardParseResult fits = parse_board_string(
+      "banktype big instances 1 ports 1 rl 1 wl 1 pins 2\n"
+      "config 4611686018427387904 1\nend\n");
+  EXPECT_TRUE(fits.ok) << fits.error;
 }
 
 }  // namespace

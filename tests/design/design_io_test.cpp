@@ -140,5 +140,24 @@ TEST(DesignIo, RejectsMissingDimensions) {
   EXPECT_FALSE(r.ok);
 }
 
+TEST(DesignIo, RejectsBitsThatOverflowInt64) {
+  // depth x width of one segment, then the design's running total.
+  const DesignParseResult one = parse_design_string(
+      "segment s depth 4611686018427387904 width 4\n");
+  EXPECT_FALSE(one.ok);
+  EXPECT_NE(one.error.find(" s: "), std::string::npos) << one.error;
+  EXPECT_NE(one.error.find("overflow"), std::string::npos) << one.error;
+  const DesignParseResult total = parse_design_string(
+      "segment a depth 4611686018427387904 width 1\n"
+      "segment b depth 4611686018427387904 width 1\n");
+  EXPECT_FALSE(total.ok);
+  EXPECT_NE(total.error.find(" b: "), std::string::npos) << total.error;
+  const DesignParseResult fits = parse_design_string(
+      "segment a depth 4611686018427387904 width 1\n"
+      "segment b depth 4611686018427387903 width 1\n");
+  EXPECT_TRUE(fits.ok) << fits.error;
+  EXPECT_EQ(fits.design.total_bits(), INT64_MAX);
+}
+
 }  // namespace
 }  // namespace gmm::design

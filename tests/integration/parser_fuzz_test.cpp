@@ -15,16 +15,23 @@
 // throws, and every rejection carries a non-empty error.  An accepted
 // input must also survive its writer: writing it and parsing that text
 // back gives the same text again.
+//
+// Two more walls splice 19-digit values into valid boards and designs:
+// what the parsers accept keeps every board and design total, and every
+// assignment cost, in range.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
+#include "mapping/cost_model.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
 #include "support/fault.hpp"
@@ -125,6 +132,41 @@ std::string mutant(const std::vector<std::string>& corpus, support::Rng& rng,
     text = mutate(text, rng, conflicts_all);
   }
   return text;
+}
+
+/// A 19-digit value: the int64 edges the parsers' overflow checks guard,
+/// or random digits, which past 9223372036854775807 must not parse.
+std::string nineteen_digits(support::Rng& rng) {
+  static const char* const kEdges[] = {"4611686018427387904",
+                                       "9000000000000000000",
+                                       "9223372036854775807"};
+  if (rng.bernoulli(0.5)) return kEdges[rng.index(3)];
+  std::string digits(1, static_cast<char>('1' + rng.index(9)));
+  while (digits.size() < 19) digits += static_cast<char>('0' + rng.index(10));
+  return digits;
+}
+
+/// `text` with one to three of its digit runs replaced by 19-digit values.
+std::string splice_digits(const std::string& text, support::Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
+  for (std::size_t i = 0; i < text.size();) {
+    std::size_t j = i;
+    while (j < text.size() && text[j] >= '0' && text[j] <= '9') ++j;
+    if (j > i) runs.emplace_back(i, j);
+    i = std::max(j, i + 1);
+  }
+  std::vector<std::size_t> picked;
+  for (std::int64_t k = rng.uniform_int(1, 3); k > 0 && !runs.empty(); --k) {
+    picked.push_back(rng.index(runs.size()));
+  }
+  std::sort(picked.begin(), picked.end());
+  picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
+  std::string out = text;
+  for (auto it = picked.rbegin(); it != picked.rend(); ++it) {
+    const auto [begin, end] = runs[*it];
+    out.replace(begin, end - begin, nineteen_digits(rng));
+  }
+  return out;
 }
 
 std::string label(std::uint64_t seed, const std::string& text) {
@@ -450,6 +492,56 @@ TEST(ParserFuzz, MutatedFaultSpecsNeverCrashAndRejectWithAMessage) {
     support::Rng rng(seed + 4'000);
     const std::string text = mutant(kFaultSpecs, rng);
     accepted += check_fault_spec(text, label(seed, text)) ? 1 : 0;
+  }
+  expect_both_outcomes(accepted);
+}
+
+// 19-digit values spliced into valid text: a board or design the parser
+// accepts has every total and cost product in range, so the mappers
+// computing them (under UBSan in the sanitizer lane) never overflow.
+TEST(ParserFuzz, NineteenDigitBoardValuesOverflowNoTotal) {
+  const std::vector<std::string> corpus = board_corpus();
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    support::Rng rng(seed + 5'000);
+    const std::string text =
+        splice_digits(corpus[rng.index(corpus.size())], rng);
+    if (!check_board(text, label(seed, text))) continue;
+    ++accepted;
+    const arch::Board board = arch::parse_board_string(text).board;
+    EXPECT_GE(board.total_bits(), 0) << label(seed, text);
+    EXPECT_GE(board.total_ports(), 0) << label(seed, text);
+    EXPECT_GE(board.total_banks(), 0) << label(seed, text);
+    EXPECT_GE(board.total_configs(), 0) << label(seed, text);
+    for (std::size_t k = 0; k < board.num_devices(); ++k) {
+      EXPECT_GE(board.device_bits(k), 0) << label(seed, text);
+    }
+  }
+  expect_both_outcomes(accepted);
+}
+
+TEST(ParserFuzz, NineteenDigitDesignValuesOverflowNoTotalOrCost) {
+  const std::vector<std::string> corpus = design_corpus();
+  const arch::BoardParseResult sample =
+      arch::parse_board_string(read_sample("board_xcv300.txt"));
+  ASSERT_TRUE(sample.ok) << sample.error;
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    support::Rng rng(seed + 6'000);
+    const std::string text =
+        splice_digits(corpus[rng.index(corpus.size())], rng);
+    if (!check_design(text, label(seed, text))) continue;
+    ++accepted;
+    const design::Design design = design::parse_design_string(text).design;
+    EXPECT_GE(design.total_bits(), 0) << label(seed, text);
+    for (const design::DataStructure& ds : design.structures()) {
+      for (const arch::BankType& type : sample.board.types()) {
+        const mapping::CostBreakdown cost =
+            mapping::assignment_cost(ds, type, mapping::PlacementPlan{});
+        EXPECT_GE(cost.latency, 0.0) << label(seed, text);
+        EXPECT_GE(cost.pin_delay, 0.0) << label(seed, text);
+      }
+    }
   }
   expect_both_outcomes(accepted);
 }

@@ -68,6 +68,29 @@ TEST(CostModel, AccessCountsRefineLatency) {
                                        16 * sram.write_latency));
 }
 
+TEST(CostModel, NineteenDigitAccessCountsPriceInDouble) {
+  // Wire text may carry any int64 access count: `reads 9000000000000000000`
+  // on a type with `rl 2` prices in double instead of overflowing int64.
+  design::DataStructure hot;
+  hot.name = "hot";
+  hot.depth = 16;
+  hot.width = 8;
+  hot.reads = 9'000'000'000'000'000'000;
+  hot.writes = 16;
+  arch::BankType slow;
+  slow.name = "slow";
+  slow.instances = 1;
+  slow.ports = 1;
+  slow.configs = {{1024, 16}};
+  slow.read_latency = 2;
+  slow.write_latency = 3;
+  slow.pins_traversed = 2;
+  const CostBreakdown cost =
+      assignment_cost(hot, slow, plan_placement(hot, slow));
+  EXPECT_EQ(cost.latency, 2.0 * 9e18 + 48.0);
+  EXPECT_EQ(cost.pin_delay, 32.0);
+}
+
 TEST(CostModel, PinIoUsesConsumedDimensions) {
   const arch::Board board = arch::single_fpga_board("XCV1000", 4);
   const design::Design design = two_structure_design();

@@ -74,20 +74,20 @@ Instance random_instance(support::Rng& rng) {
   return inst;
 }
 
-/// Warm assignment, pins, migration penalty and a no-good cut over
+/// Prior assignment, pins, migration penalty and a no-good cut over
 /// feasible pairs; false when some structure fits no type.
 bool add_options(support::Rng& rng, const CostTable& table, Instance& inst) {
   const std::size_t n = inst.design.size();
-  std::vector<int> warm(n, -1);
+  std::vector<int> prior(n, -1);
   for (std::size_t d = 0; d < n; ++d) {
     std::vector<int> feasible;
     for (std::size_t t = 0; t < table.num_types(); ++t) {
       if (table.feasible(d, t)) feasible.push_back(static_cast<int>(t));
     }
     if (feasible.empty()) return false;
-    warm[d] = rng.pick(feasible);
+    prior[d] = rng.pick(feasible);
   }
-  inst.options.warm_assignment = warm;
+  inst.options.prior_type_of = prior;
   if (rng.bernoulli(0.5)) {
     inst.options.migration_penalty =
         static_cast<double>(rng.uniform_int(1, 5000));
@@ -97,8 +97,8 @@ bool add_options(support::Rng& rng, const CostTable& table, Instance& inst) {
     const std::size_t a = rng.index(n);
     const std::size_t b = (a + 1 + rng.index(n - 1)) % n;
     inst.options.no_good_cuts.push_back(
-        {{a, static_cast<std::size_t>(warm[a])},
-         {b, static_cast<std::size_t>(warm[b])}});
+        {{a, static_cast<std::size_t>(prior[a])},
+         {b, static_cast<std::size_t>(prior[b])}});
   }
   return true;
 }
@@ -168,7 +168,7 @@ TEST(LagrangianProperty, BoundAndFixingsHoldAgainstEnumeration) {
     }
     for (const std::size_t d : inst.options.pinned_structures) {
       const lp::Index v =
-          global->z[d][static_cast<std::size_t>(inst.options.warm_assignment[d])];
+          global->z[d][static_cast<std::size_t>(inst.options.prior_type_of[d])];
       query.lb[v] = query.ub[v] = 1.0;
     }
     const std::vector<Solution> feasible =

@@ -1,17 +1,21 @@
-// Near-miss remap wall: pins collapse in presolve (see remap.hpp).
+// Near-miss remap wall: pins are part of the formulation and collapse in
+// presolve (see remap.hpp).
 //
 // Property tests (300 seeds): a small random design (3-10 structures on
 // 2-4 bank types, all-conflicting or with lifetime-derived conflicts), a
 // cold solve, a traffic-only mutant of 1-2 structures and a random pin set
 // among the unchanged ones.  At rel_gap 0:
 //  * the remap's model objective equals that of the same pinned model
-//    solved with use_presolve = false, and both report the prior
-//    assignment as a used MIP start;
+//    solved with use_presolve = false;
 //  * every pinned structure keeps its prior type;
 //  * presolving the pinned model leaves no pinned structure's column, and
 //    when the pins leave every capacity row room for all free structures
 //    at once, exactly the free structures' feasible pairs (a structure
-//    with a single feasible pair is decided by its uniqueness row).
+//    with a single feasible pair is decided by its uniqueness row);
+//  * the pinned formulation presolves, field by field, to what the
+//    unpinned formulation with each pinned column's bounds at [1, 1]
+//    presolves to, and remap places every structure as the bound-pinned
+//    model's optimum does.
 #include "mapping/remap.hpp"
 
 #include <gtest/gtest.h>
@@ -22,11 +26,14 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "arch/device_catalog.hpp"
+#include "ilp/mip_solver.hpp"
 #include "lp/presolve.hpp"
+#include "mapping/detailed_mapper.hpp"
 #include "mapping/global_mapper.hpp"
 #include "support/rng.hpp"
 
@@ -128,6 +135,14 @@ RemapOptions remap_options(const Case& c, bool use_presolve) {
   return options;
 }
 
+GlobalOptions near_miss_options(const Case& c, const std::vector<int>& prior) {
+  GlobalOptions options;
+  options.prior_type_of = prior;
+  options.pinned_structures = c.pinned;
+  options.migration_penalty = kMigrationPenalty;
+  return options;
+}
+
 /// Reduced columns of the presolved pinned model, as (structure, type)
 /// pairs.  `slack` is set when, after the pins, every capacity row has
 /// room for the largest coefficient of every free structure at once.
@@ -135,23 +150,14 @@ std::set<std::pair<std::size_t, std::size_t>> presolved_pairs(
     const Case& c, const std::vector<int>& prior, bool& slack,
     bool& infeasible) {
   const CostTable table(c.mutant, c.board);
-  GlobalOptions options;
-  options.warm_assignment = prior;
-  options.pinned_structures = c.pinned;
-  options.migration_penalty = kMigrationPenalty;
-  const std::optional<GlobalModel> global =
-      formulate_global(c.mutant, c.board, table, options);
+  const std::optional<GlobalModel> global = formulate_global(
+      c.mutant, c.board, table, near_miss_options(c, prior));
   EXPECT_TRUE(global.has_value());
+  const lp::Model& pinned = global->model;
   const std::vector<std::vector<lp::Index>>& z = global->z;
 
-  // The pins as MipSolver applies them: Z_dt* fixed at 1 on a copy.
-  lp::Model pinned = global->model;
   std::vector<bool> is_pinned(c.mutant.size(), false);
-  for (const std::size_t d : c.pinned) {
-    is_pinned[d] = true;
-    pinned.set_var_bounds(z[d][static_cast<std::size_t>(prior[d])], 1.0, 1.0);
-  }
-
+  for (const std::size_t d : c.pinned) is_pinned[d] = true;
   std::vector<std::size_t> owner(static_cast<std::size_t>(pinned.num_vars()));
   for (std::size_t d = 0; d < z.size(); ++d) {
     for (const lp::Index j : z[d]) {
@@ -168,10 +174,10 @@ std::set<std::pair<std::size_t, std::size_t>> presolved_pairs(
     std::vector<double> free_max(c.mutant.size(), 0.0);
     for (std::size_t k = 0; k < row.size; ++k) {
       const std::size_t d = owner[static_cast<std::size_t>(row.vars[k])];
-      if (!is_pinned[d]) {
+      if (is_pinned[d]) {
+        residual -= row.coefs[k];  // the pinned type's column, at 1
+      } else {
         free_max[d] = std::max(free_max[d], row.coefs[k]);
-      } else if (pinned.var_lb(row.vars[k]) == 1.0) {
-        residual -= row.coefs[k];
       }
     }
     double demand = 0.0;
@@ -213,8 +219,6 @@ TEST(RemapProperty, PinsCollapseInPresolveAndKeepTheOptimum) {
     ASSERT_EQ(got.result.status, lp::SolveStatus::kOptimal);
     ASSERT_EQ(plain.result.status, lp::SolveStatus::kOptimal);
     EXPECT_FALSE(got.fell_back_cold);
-    EXPECT_TRUE(got.warm_used);
-    EXPECT_TRUE(plain.warm_used);
     EXPECT_EQ(got.result.retries, plain.result.retries);
     EXPECT_NEAR(got.result.mip.objective, plain.result.mip.objective,
                 1e-9 * std::max(1.0, std::abs(plain.result.mip.objective)));
@@ -256,6 +260,167 @@ TEST(RemapProperty, PinsCollapseInPresolveAndKeepTheOptimum) {
   EXPECT_GE(solved, kSeeds * 9 / 10);
   EXPECT_GE(exact_shape, solved / 4);
   EXPECT_GE(decided_outright, 1);
+}
+
+/// The bank type each structure takes in `x`, through `z`.
+std::vector<int> assignment_of(const std::vector<std::vector<lp::Index>>& z,
+                               const std::vector<double>& x) {
+  std::vector<int> type_of(z.size(), -1);
+  for (std::size_t d = 0; d < z.size(); ++d) {
+    for (std::size_t t = 0; t < z[d].size(); ++t) {
+      if (z[d][t] != lp::kInvalidIndex &&
+          x[static_cast<std::size_t>(z[d][t])] > 0.5) {
+        type_of[d] = static_cast<int>(t);
+      }
+    }
+  }
+  return type_of;
+}
+
+/// map_pipeline's retry loop over the bound-pinned reference: formulate
+/// without pins, collapse each pinned column's bounds onto 1, solve, and
+/// after a packing failure forbid the failing type's structure set (and
+/// halfway through the budget drop overlap awareness).
+PipelineResult bound_pinned_pipeline(const Case& c,
+                                     const std::vector<int>& prior) {
+  const CostTable table(c.mutant, c.board);
+  GlobalOptions options = near_miss_options(c, prior);
+  options.pinned_structures.clear();
+  const int max_retries = PipelineOptions{}.max_retries;
+  PipelineResult out;
+  for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    std::optional<GlobalModel> global =
+        formulate_global(c.mutant, c.board, table, options);
+    EXPECT_TRUE(global.has_value());
+    for (const std::size_t d : c.pinned) {
+      const lp::Index j = global->z[d][static_cast<std::size_t>(prior[d])];
+      global->model.set_var_bounds(j, 1.0, 1.0);
+    }
+    out.mip = ilp::solve_mip(global->model, exact_pipeline().global.mip);
+    out.status = out.mip.status;
+    if (!out.mip.has_incumbent()) return out;
+    out.assignment.type_of = assignment_of(global->z, out.mip.x);
+    out.detailed = map_detailed(c.mutant, c.board, table, out.assignment);
+    if (out.detailed.success) return out;
+    out.retries = attempt + 1;
+    std::vector<std::pair<std::size_t, std::size_t>> cut;
+    const int failing = out.detailed.failed_type;
+    for (std::size_t d = 0; d < c.mutant.size(); ++d) {
+      if (failing < 0 || out.assignment.type_of[d] == failing) {
+        cut.emplace_back(d, out.assignment.type_of[d]);
+      }
+    }
+    options.no_good_cuts.push_back(std::move(cut));
+    if (attempt + 1 >= (max_retries + 1) / 2 &&
+        options.overlap_aware_capacity) {
+      options.overlap_aware_capacity = false;
+      options.no_good_cuts.clear();
+    }
+  }
+  return out;
+}
+
+void expect_same_model(const lp::Model& a, const lp::Model& b) {
+  ASSERT_EQ(a.num_vars(), b.num_vars());
+  for (lp::Index j = 0; j < a.num_vars(); ++j) {
+    EXPECT_EQ(a.var_lb(j), b.var_lb(j)) << "column " << j;
+    EXPECT_EQ(a.var_ub(j), b.var_ub(j)) << "column " << j;
+    EXPECT_EQ(a.obj(j), b.obj(j)) << "column " << j;
+    EXPECT_EQ(a.var_type(j), b.var_type(j)) << "column " << j;
+  }
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (lp::Index i = 0; i < a.num_rows(); ++i) {
+    EXPECT_EQ(a.row_lb(i), b.row_lb(i)) << "row " << i;
+    EXPECT_EQ(a.row_ub(i), b.row_ub(i)) << "row " << i;
+    const lp::Model::RowView ra = a.row(i);
+    const lp::Model::RowView rb = b.row(i);
+    ASSERT_EQ(ra.size, rb.size) << "row " << i;
+    for (std::size_t k = 0; k < ra.size; ++k) {
+      EXPECT_EQ(ra.vars[k], rb.vars[k]) << "row " << i << ", term " << k;
+      EXPECT_EQ(ra.coefs[k], rb.coefs[k]) << "row " << i << ", term " << k;
+    }
+  }
+}
+
+// The reference is the unpinned formulation with each pinned column's
+// bounds collapsed onto 1: the semantics pins had as solver-side bounds.
+TEST(PinFormulationProperty, PresolvesLikeBoundPinsAndRemapsAlike) {
+  int compared = 0, pinned_any = 0, retried = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    support::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 17);
+    const Case c = random_case(rng);
+    const PipelineResult cold = map_pipeline(c.cold, c.board, exact_pipeline());
+    if (cold.status != lp::SolveStatus::kOptimal) continue;  // no prior
+    ++compared;
+    if (!c.pinned.empty()) ++pinned_any;
+    const std::vector<int>& prior = cold.assignment.type_of;
+    const CostTable table(c.mutant, c.board);
+
+    const GlobalOptions options = near_miss_options(c, prior);
+    GlobalOptions unpinned = options;
+    unpinned.pinned_structures.clear();
+    const std::optional<GlobalModel> pinned =
+        formulate_global(c.mutant, c.board, table, options);
+    std::optional<GlobalModel> bound =
+        formulate_global(c.mutant, c.board, table, unpinned);
+    ASSERT_TRUE(pinned.has_value());
+    ASSERT_TRUE(bound.has_value());
+    for (const std::size_t d : c.pinned) {
+      const lp::Index j = bound->z[d][static_cast<std::size_t>(prior[d])];
+      bound->model.set_var_bounds(j, 1.0, 1.0);
+    }
+
+    const lp::PresolveResult a = lp::presolve(pinned->model);
+    const lp::PresolveResult b = lp::presolve(bound->model);
+    ASSERT_FALSE(a.infeasible);
+    ASSERT_FALSE(b.infeasible);
+    // Surviving columns: the same (structure, type) pairs, in order.
+    for (std::size_t d = 0; d < c.mutant.size(); ++d) {
+      for (std::size_t t = 0; t < table.num_types(); ++t) {
+        const lp::Index ja = pinned->z[d][t];
+        const lp::Index jb = bound->z[d][t];
+        const lp::Index ra =
+            ja == lp::kInvalidIndex ? lp::kInvalidIndex
+                                    : a.var_map[static_cast<std::size_t>(ja)];
+        const lp::Index rb =
+            jb == lp::kInvalidIndex ? lp::kInvalidIndex
+                                    : b.var_map[static_cast<std::size_t>(jb)];
+        EXPECT_EQ(ra, rb) << "pair (" << d << ", " << t << ")";
+      }
+    }
+    expect_same_model(a.reduced, b.reduced);
+    EXPECT_EQ(a.objective_offset, b.objective_offset);
+
+    // remap places every structure where the bound-pinned optimum does.
+    const RemapResult got =
+        remap(c.mutant, c.board, prior, remap_options(c, true));
+    const PipelineResult reference = bound_pinned_pipeline(c, prior);
+    ASSERT_EQ(got.result.status, lp::SolveStatus::kOptimal);
+    ASSERT_EQ(reference.status, lp::SolveStatus::kOptimal);
+    EXPECT_EQ(got.result.retries, reference.retries);
+    EXPECT_EQ(got.result.assignment.type_of, reference.assignment.type_of);
+    const std::vector<PlacedFragment>& x = got.result.detailed.fragments;
+    const std::vector<PlacedFragment>& y = reference.detailed.fragments;
+    ASSERT_TRUE(got.result.detailed.success);
+    ASSERT_TRUE(reference.detailed.success);
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      EXPECT_EQ(std::tie(x[k].ds, x[k].type, x[k].instance,
+                         x[k].config_index, x[k].kind, x[k].ports,
+                         x[k].first_port, x[k].offset_bits, x[k].block_bits,
+                         x[k].words_covered, x[k].bits_covered),
+                std::tie(y[k].ds, y[k].type, y[k].instance,
+                         y[k].config_index, y[k].kind, y[k].ports,
+                         y[k].first_port, y[k].offset_bits, y[k].block_bits,
+                         y[k].words_covered, y[k].bits_covered))
+          << "fragment " << k;
+    }
+    if (reference.retries > 0) ++retried;
+  }
+  EXPECT_GE(compared, kSeeds * 9 / 10);
+  EXPECT_GE(pinned_any, compared / 2);
+  EXPECT_GE(retried, 1);
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 //   * every admitted request terminates with exactly one definite status
 //     (no lost, duplicated, or indefinite responses),
 //   * the service drains (no hang, no stuck worker),
-//   * map_batch returns a definite per-item status even when its shared
-//     token fires mid-batch,
+//   * a batch of map_pipeline runs fanned out with parallel_for returns
+//     a definite per-item status even when its shared token fires
+//     mid-batch,
 //
 // all under ASan+UBSan leak checking in CI.  Schedules are randomized
 // but the SEEDS are fixed, so a failure reproduces.
@@ -22,7 +23,7 @@
 #include <vector>
 
 #include "design/design_io.hpp"
-#include "mapping/batch_mapper.hpp"
+#include "mapping/pipeline.hpp"
 #include "service/mapping_service.hpp"
 #include "support/cancellation.hpp"
 #include "support/rng.hpp"
@@ -35,6 +36,18 @@ namespace {
 arch::Board stress_board() {
   return *workload::board_from_totals({.banks = 23, .ports = 45,
                                        .configs = 100});
+}
+
+/// Map every design over `pool` (the sharded mapper's fan-out): results
+/// are parallel to the designs.
+std::vector<mapping::PipelineResult> map_all(
+    support::ThreadPool& pool, const std::vector<design::Design>& designs,
+    const arch::Board& board, const mapping::PipelineOptions& options) {
+  std::vector<mapping::PipelineResult> results(designs.size());
+  support::parallel_for(pool, designs.size(), [&](std::size_t i) {
+    results[i] = mapping::map_pipeline(designs[i], board, options);
+  });
+  return results;
 }
 
 std::string random_design_text(support::Rng& rng) {
@@ -158,7 +171,7 @@ TEST(ServiceStress, RepeatedDrainCyclesStayClean) {
 }
 
 TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
-  // The batch driver under the same token plumbing: a shared token fires
+  // The fan-out under the same token plumbing: a shared token fires
   // while the pool is mid-batch.  Every item must come back with a
   // definite status and the batch call must return (wait_idle liveness).
   const arch::Board board = stress_board();
@@ -171,11 +184,6 @@ TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
       gen.seed = rng.next_u64();
       designs.push_back(workload::generate_design(board, gen));
     }
-    std::vector<mapping::BatchItem> items;
-    for (const design::Design& d : designs) {
-      items.push_back({.design = &d, .board = &board});
-    }
-
     auto token = std::make_shared<support::CancelToken>();
     mapping::PipelineOptions options;
     options.global.mip.cancel_token = token;
@@ -187,10 +195,10 @@ TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
       token->cancel();
     });
     const std::vector<mapping::PipelineResult> batch =
-        mapping::map_batch(pool, items, options);
+        map_all(pool, designs, board, options);
     canceller.join();
 
-    ASSERT_EQ(batch.size(), items.size());
+    ASSERT_EQ(batch.size(), designs.size());
     for (const mapping::PipelineResult& r : batch) {
       EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                   r.status == lp::SolveStatus::kFeasible ||
@@ -212,18 +220,14 @@ TEST(ServiceStress, MapBatchWithSharedDeadline) {
     gen.seed = rng.next_u64();
     designs.push_back(workload::generate_design(board, gen));
   }
-  std::vector<mapping::BatchItem> items;
-  for (const design::Design& d : designs) {
-    items.push_back({.design = &d, .board = &board});
-  }
   auto token = std::make_shared<support::CancelToken>();
   token->set_deadline_after_seconds(0.005);
   mapping::PipelineOptions options;
   options.global.mip.cancel_token = token;
   support::ThreadPool pool(2);
   const std::vector<mapping::PipelineResult> batch =
-      mapping::map_batch(pool, items, options);
-  ASSERT_EQ(batch.size(), items.size());
+      map_all(pool, designs, board, options);
+  ASSERT_EQ(batch.size(), designs.size());
   for (const mapping::PipelineResult& r : batch) {
     EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                 r.status == lp::SolveStatus::kFeasible ||
