@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "support/arithmetic.hpp"
 #include "support/assert.hpp"
 
 namespace gmm::design {
@@ -29,8 +30,10 @@ std::int64_t edge_traffic(const Design& design, std::size_t a,
                           std::size_t b) {
   const DataStructure& x = design.at(a);
   const DataStructure& y = design.at(b);
-  const std::int64_t ax = x.effective_reads() + x.effective_writes();
-  const std::int64_t ay = y.effective_reads() + y.effective_writes();
+  const std::int64_t ax =
+      support::saturating_add(x.effective_reads(), x.effective_writes());
+  const std::int64_t ay =
+      support::saturating_add(y.effective_reads(), y.effective_writes());
   return std::max<std::int64_t>(std::min(ax, ay), 1);
 }
 
@@ -121,8 +124,11 @@ PartitionResult partition_design(const Design& design,
     std::fill(affinity.begin(), affinity.end(), 0);
     std::int64_t incident = 0;
     for (const Edge& e : adjacent[d]) {
-      if (part_of[e.to] >= 0) affinity[part_of[e.to]] += e.traffic;
-      incident += e.traffic;
+      if (part_of[e.to] >= 0) {
+        std::int64_t& a = affinity[part_of[e.to]];
+        a = support::saturating_add(a, e.traffic);
+      }
+      incident = support::saturating_add(incident, e.traffic);
     }
     // Score = normalized affinity minus the most-binding load share.  On
     // a near-complete conflict graph every partition has (almost) the
@@ -178,7 +184,8 @@ PartitionResult partition_design(const Design& design,
     for (std::size_t d = 0; d < n; ++d) {
       std::fill(affinity.begin(), affinity.end(), 0);
       for (const Edge& e : adjacent[d]) {
-        affinity[part_of[e.to]] += e.traffic;
+        std::int64_t& a = affinity[part_of[e.to]];
+        a = support::saturating_add(a, e.traffic);
       }
       const int cur = part_of[d];
       int best = cur;
@@ -203,7 +210,8 @@ PartitionResult partition_design(const Design& design,
   for (const auto& [a, b] : design.conflict_pairs()) {
     if (result.part_of[a] != result.part_of[b]) {
       ++result.cut_edges;
-      result.cut_traffic += edge_traffic(design, a, b);
+      result.cut_traffic = support::saturating_add(
+          result.cut_traffic, edge_traffic(design, a, b));
     }
   }
   return result;

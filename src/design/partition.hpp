@@ -64,7 +64,8 @@ struct PartitionResult {
   std::vector<std::int64_t> part_bits;
   /// Conflict edges with endpoints in different parts, after refinement.
   std::int64_t cut_edges = 0;
-  /// Sum of cut-edge traffic weights (see edge_traffic below).
+  /// Sum of cut-edge traffic weights (see edge_traffic below), saturating
+  /// at INT64_MAX.
   std::int64_t cut_traffic = 0;
 };
 
@@ -72,7 +73,8 @@ struct PartitionResult {
 /// effective access count — the cheapest end bounds how much data the
 /// simultaneous phase actually moves.  Shared by the partitioner's cut
 /// objective and the shard mapper's stitch cost so both optimize the same
-/// quantity.
+/// quantity.  Reads plus writes saturate at INT64_MAX, as do the sums of
+/// these weights.
 std::int64_t edge_traffic(const Design& design, std::size_t a,
                           std::size_t b);
 

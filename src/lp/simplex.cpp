@@ -82,13 +82,20 @@ SimplexEngine::SimplexEngine(const StandardForm& sf)
   xb_.resize(m_);
   d_.resize(n_);
   alpha_.resize(n_);
+  in_priced_.resize(sf.num_structural);
   w_.resize(m_);
   rhs_.resize(m_);
+  y_.resize(m_);
+  aty_.resize(sf.num_structural);
   reset_to_logical_basis();
 }
 
 void SimplexEngine::set_column_bounds(Index j, double lb, double ub) {
   GMM_ASSERT(!(lb > ub), "set_column_bounds with lb > ub");
+  // Same bounds, same column: re-deriving a nonbasic side below would
+  // flip a column whose reduced cost sits inside the dual tolerance on
+  // the other side of zero, and mark x_B stale for nothing.
+  if (lb == lb_[j] && ub == ub_[j]) return;
   if (stat_[j] == VStat::kBasic) {
     // x_B does not depend on a basic column's own bounds: nothing to
     // refresh (the dual simplex repairs any violation this creates).
@@ -346,6 +353,7 @@ void SimplexEngine::append_rows(const StandardForm& grown) {
   alpha_.resize(n_);
   w_.resize(m_);
   rhs_.resize(m_);
+  y_.resize(m_);
   xb_.resize(m_);  // new rows start at 0 and accumulate -(a_r . x) below
 
   // B^{-1} of [B 0; C I] is [B^{-1} 0; -C B^{-1} I]: copy the old rows,
@@ -408,10 +416,16 @@ void SimplexEngine::recompute_basic_solution() {
       }
     }
   }
+  // Only the nonzero right-hand-side entries, in increasing order: the
+  // same sums as the dense product, whose other terms are zeros.
+  rhs_nonzero_.clear();
+  for (Index k = 0; k < m_; ++k) {
+    if (rhs_[k] != 0.0) rhs_nonzero_.push_back(k);
+  }
   for (Index i = 0; i < m_; ++i) {
     const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
     double acc = 0.0;
-    for (Index k = 0; k < m_; ++k) acc += row[k] * rhs_[k];
+    for (const Index k : rhs_nonzero_) acc += row[k] * rhs_[k];
     xb_[i] = -acc;
   }
   xb_stale_ = false;
@@ -433,15 +447,6 @@ void SimplexEngine::ftran(Index j, std::vector<double>& w) const {
       w[i] += v * binv_[static_cast<std::size_t>(i) * m_ + row];
     }
   }
-}
-
-double SimplexEngine::column_dot(const double* rho, Index j) const {
-  if (sf_->is_logical(j)) return rho[sf_->logical_row(j)];
-  double acc = 0.0;
-  for (std::size_t k = sf_->col_start[j]; k < sf_->col_start[j + 1]; ++k) {
-    acc += rho[sf_->row_index[k]] * sf_->value[k];
-  }
-  return acc;
 }
 
 bool SimplexEngine::refactorize() {
@@ -606,19 +611,29 @@ void SimplexEngine::refactorize_in_solve() {
 
 void SimplexEngine::compute_duals() {
   // y = c_B^T B^{-1}, accumulated row-wise over basic columns with
-  // nonzero cost; then d_j = c_j - y . A_j.
-  std::vector<double> y(m_, 0.0);
+  // nonzero cost; then d_j = c_j - y . A_j, with A^T y summed from the
+  // rows where y is nonzero (each column's terms in increasing row order).
+  std::fill(y_.begin(), y_.end(), 0.0);
   for (Index i = 0; i < m_; ++i) {
     const double cb = sf_->cost[basis_[i]];
     if (cb == 0.0) continue;
     const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
-    for (Index k = 0; k < m_; ++k) y[k] += cb * row[k];
+    for (Index k = 0; k < m_; ++k) y_[k] += cb * row[k];
   }
+  std::fill(aty_.begin(), aty_.end(), 0.0);
+  for (Index i = 0; i < m_; ++i) {
+    const double yi = y_[i];
+    if (yi == 0.0) continue;
+    for (std::size_t k = sf_->row_start[i]; k < sf_->row_start[i + 1]; ++k) {
+      aty_[sf_->col_index[k]] += yi * sf_->row_value[k];
+    }
+  }
+  const Index ns = sf_->num_structural;
   for (Index j = 0; j < n_; ++j) {
     if (stat_[j] == VStat::kBasic) {
       d_[j] = 0.0;
     } else {
-      d_[j] = sf_->cost[j] - column_dot(y.data(), j);
+      d_[j] = sf_->cost[j] - (j < ns ? aty_[j] : y_[j - ns]);
     }
   }
 }
@@ -656,10 +671,9 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
         leave_row = i;
       }
     }
-  } else {
+  } else if (m_ > 0) {
     double worst = kFeasTol;
-    for (Index ii = 0; ii < m_; ++ii) {
-      const Index i = static_cast<Index>((ii + tie_rotation_) % m_);
+    const auto scan = [&](Index i) {
       const Index bj = basis_[i];
       const double v = xb_[i];
       const double viol = std::max(lb_[bj] - v, v - ub_[bj]);
@@ -667,7 +681,12 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
         worst = viol;
         leave_row = i;
       }
-    }
+    };
+    // From the rotating start to the last row, then from row 0.
+    const auto start = static_cast<Index>(tie_rotation_ %
+                                          static_cast<std::uint32_t>(m_));
+    for (Index i = start; i < m_; ++i) scan(i);
+    for (Index i = 0; i < start; ++i) scan(i);
     ++tie_rotation_;
   }
   if (leave_row < 0) return PivotResult::kOptimal;
@@ -680,15 +699,37 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
   const double sigma = above_upper ? 1.0 : -1.0;
 
   // ---- 2. pivot row alpha_j = (row leave_row of B^{-1}) . A_j ---------
+  // Row-wise over the rows where rho is nonzero: alpha_j sums its terms in
+  // increasing row order, the column dot product's order without its zero
+  // terms, so it is bitwise the same.  Every nonbasic column is priced,
+  // fixed ones included: their reduced costs must also be updated below
+  // so they stay valid if a branch-and-bound backtrack later unfixes them.
+  // A column no such row touches has alpha_j = 0 and keeps its d_j.
   const double* rho = binv_.data() + static_cast<std::size_t>(leave_row) * m_;
+  for (const Index j : priced_) alpha_[j] = 0.0;
+  priced_.clear();
+  const Index ns = sf_->num_structural;
+  for (Index i = 0; i < m_; ++i) {
+    const double r = rho[i];
+    if (r == 0.0) continue;
+    for (std::size_t k = sf_->row_start[i]; k < sf_->row_start[i + 1]; ++k) {
+      const Index j = sf_->col_index[k];
+      if (stat_[j] == VStat::kBasic) continue;
+      if (in_priced_[j] == 0) {
+        in_priced_[j] = 1;
+        priced_.push_back(j);
+      }
+      alpha_[j] += r * sf_->row_value[k];
+    }
+    if (stat_[ns + i] != VStat::kBasic) {
+      alpha_[ns + i] = r;  // the logical's unit entry
+      priced_.push_back(ns + i);
+    }
+  }
   eligible_.clear();
-  for (Index j = 0; j < n_; ++j) {
-    // Compute alpha for every nonbasic column, fixed ones included: their
-    // reduced costs must also be updated below so they stay valid if a
-    // branch-and-bound backtrack later unfixes them.
-    if (!is_nonbasic(stat_[j])) continue;
-    const double a = column_dot(rho, j);
-    alpha_[j] = a;
+  for (const Index j : priced_) {
+    if (j < ns) in_priced_[j] = 0;
+    const double a = alpha_[j];
     if (std::abs(a) <= kPivotTol) continue;
     // Eligibility: moving x_j in its feasible direction must move the
     // leaving basic variable back toward its violated bound.
@@ -720,7 +761,8 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
   // reduced cost movement degrades dual feasibility of column j; the
   // minimum wins.  Normal mode breaks near-ties (Harris slack) by the
   // largest |alpha| for stability; Bland mode takes the smallest column
-  // index among exact minimizers (anti-cycling).
+  // index among exact minimizers (anti-cycling).  eligible_ is in pricing
+  // order, so remaining ties go to the smallest column index explicitly.
   double best_ratio = kInf;
   for (const Index j : eligible_) {
     const double ratio = sigma * d_[j] / alpha_[j];
@@ -730,9 +772,8 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
   if (bland_mode_) {
     for (const Index j : eligible_) {
       const double ratio = std::max(sigma * d_[j] / alpha_[j], 0.0);
-      if (ratio <= best_ratio + 1e-12) {
+      if (ratio <= best_ratio + 1e-12 && (enter_col < 0 || j < enter_col)) {
         enter_col = j;
-        break;  // eligible_ is in ascending index order
       }
     }
   } else {
@@ -740,8 +781,11 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
     double enter_alpha_mag = 0.0;
     for (const Index j : eligible_) {
       const double ratio = std::max(sigma * d_[j] / alpha_[j], 0.0);
-      if (ratio <= cutoff && std::abs(alpha_[j]) > enter_alpha_mag) {
-        enter_alpha_mag = std::abs(alpha_[j]);
+      const double mag = std::abs(alpha_[j]);
+      if (ratio <= cutoff &&
+          (mag > enter_alpha_mag ||
+           (mag == enter_alpha_mag && j < enter_col))) {
+        enter_alpha_mag = mag;
         enter_col = j;
       }
     }
@@ -760,12 +804,11 @@ SimplexEngine::PivotResult SimplexEngine::dual_pivot() {
   const double t = (xb_[leave_row] - target_bound) / alpha_q;  // step of x_q
   const double theta = d_[enter_col] / alpha_q;                // dual step
 
-  // Reduced costs: d_k -= theta * alpha_k for nonbasic k; the leaving
-  // column (alpha = 1 in its own row) ends at -theta.
+  // Reduced costs: d_k -= theta * alpha_k for the priced (nonbasic) k;
+  // the leaving column (alpha = 1 in its own row) ends at -theta.
   if (theta != 0.0) {
-    for (Index j = 0; j < n_; ++j) {
-      if (!is_nonbasic(stat_[j]) || j == enter_col) continue;
-      if (alpha_[j] != 0.0) d_[j] -= theta * alpha_[j];
+    for (const Index j : priced_) {
+      if (j != enter_col && alpha_[j] != 0.0) d_[j] -= theta * alpha_[j];
     }
   }
   d_[leave_col] = -theta;

@@ -44,12 +44,24 @@
 // each new row costs one sparse combination of old ones.  No
 // refactorization, and the refactor_interval cadence carries on.
 //
-// Complexity per pivot: O(m^2) for the inverse/x_B row updates plus
-// O(nnz(A)) for the pivot row — for the largest complete-formulation model
-// in this project (m ~ 2.5e3, nnz ~ 2e5) a few milliseconds.  A snapshot
-// load costs O(k (m^2 + m nnz(a_q))) for k changed columns, against
-// O(m^3) for a refactorization; appending k rows costs O((m + k)^2 +
-// m nnz(C)).
+// Pricing is row-wise: the pivot row alpha = rho A (rho the leaving row of
+// B^{-1}) is summed from the form's row copy over only the rows where rho
+// is nonzero, and only the columns those rows touch get a new reduced
+// cost; the duals' A^T y and the x_B recompute skip zeros the same way.
+// Each column still sums its terms in increasing row order and the ratio
+// test breaks ties by column index, so every pivot is bitwise the one a
+// column-by-column pricing would make.
+//
+// Complexity per pivot: O(m nnz(w)) for the inverse update (w = B^{-1}
+// a_q, from an O(m nnz(a_q)) FTRAN), plus the entries of the rows where
+// rho is nonzero for the pivot row and O(m) for the rest — for the
+// largest complete-formulation model in this project (m ~ 2.5e3, nnz ~
+// 2e5) a few milliseconds.  A snapshot load
+// costs O(k (m^2 + m nnz(a_q))) for k changed columns, against O(m^3) for
+// a refactorization; appending k rows costs O((m + k)^2 + m nnz(C)).
+// SimplexStats::work_units stays a dense-equivalent proxy (it charges
+// every pivot the full m^2 and nnz(A)), so its counts compare across
+// engine versions.
 //
 // Runs stay bitwise repeatable, but the inverse a load leaves behind
 // differs in rounding from a fresh factorization, so branch-and-bound
@@ -81,9 +93,9 @@ struct SimplexOptions {
 struct SimplexStats {
   std::int64_t iterations = 0;        // dual pivots, cumulative
   std::int64_t refactorizations = 0;  // basis (re)factorizations, cumulative
-  /// Arithmetic work proxy: inner-loop multiply-adds the engine performed
-  /// (m^2 per pivot or load swap, m^3 per refactorization), so solver
-  /// effort compares across machines where wall time does not.
+  /// Arithmetic work proxy: the inner-loop multiply-adds a dense engine
+  /// would perform (m^2 per pivot or load swap, m^3 per refactorization),
+  /// so solver effort compares across machines where wall time does not.
   std::int64_t work_units = 0;
 };
 
@@ -154,9 +166,7 @@ class SimplexEngine {
   }
 
  private:
-  // Dense pivot-row / FTRAN helpers.
   void ftran(Index j, std::vector<double>& w) const;  // w = B^{-1} A_j
-  double column_dot(const double* rho, Index j) const;  // rho . A_j
 
   /// Gauss-Jordan B^{-1} of the current basic set; true when a dependent
   /// column had to be evicted for a logical (the basis changed).
@@ -177,8 +187,9 @@ class SimplexEngine {
   bool replace_basis_columns(const std::vector<Index>& target);
   /// Product-form update of B^{-1} for w_ = B^{-1} a_q entering row r.
   void update_inverse(Index r, double pivot);
-  /// x_B from scratch: O(nnz(A) + m^2).
+  /// x_B from scratch: O(nnz(A) + m nnz(rhs)).
   void recompute_basic_solution();
+  /// y = c_B B^{-1}, then d = c - A^T y over the rows where y is nonzero.
   void compute_duals();
   [[nodiscard]] double nonbasic_value(Index j) const;
 
@@ -197,11 +208,16 @@ class SimplexEngine {
   std::vector<double> d_;        // reduced costs per column
 
   // Scratch buffers reused across pivots.
-  std::vector<double> alpha_;          // pivot row across all columns
+  std::vector<double> alpha_;          // pivot row; 0 outside priced_
+  std::vector<Index> priced_;          // nonbasic columns the row touched
+  std::vector<char> in_priced_;        // structural column is in priced_
   std::vector<Index> eligible_;        // candidate entering columns
   std::vector<double> w_;              // FTRAN result
   std::vector<double> work_b_;         // refactorization / row permutation
   std::vector<double> rhs_;            // x_B recompute right-hand side
+  std::vector<Index> rhs_nonzero_;     // rows where rhs_ is nonzero
+  std::vector<double> y_;              // duals, one per row
+  std::vector<double> aty_;            // A^T y per structural column
   std::vector<Index> col_row_;         // load: row of each basic column
   std::vector<char> leaving_;          // load: row's column still leaves
   std::vector<Index> entering_;        // load: snapshot columns to pivot in

@@ -58,6 +58,8 @@ void StandardForm::append_rows(const Model& model) {
   }
   row_index.resize(start.back());
   value.resize(start.back());
+  col_index.reserve(start.back());
+  row_value.reserve(start.back());
   for (Index j = num_structural; j-- > 0;) {
     const std::size_t shift = start[j] - col_start[j];
     if (shift == 0) break;  // and so is every earlier column's
@@ -86,10 +88,14 @@ void StandardForm::append_rows(const Model& model) {
     const double scale = pow2_reciprocal(row_max);
     row_scale[i] = scale;
     for (std::size_t k = 0; k < r.size; ++k) {
+      const double scaled = r.coefs[k] * scale;
       const std::size_t slot = fill[r.vars[k]]++;
       row_index[slot] = i;
-      value[slot] = r.coefs[k] * scale;
+      value[slot] = scaled;
+      col_index.push_back(r.vars[k]);
+      row_value.push_back(scaled);
     }
+    row_start.push_back(col_index.size());
     lb[num_structural + i] =
         model.row_ub(i) >= kInf ? -kInf : -model.row_ub(i) * scale;
     ub[num_structural + i] =

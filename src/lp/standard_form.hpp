@@ -9,8 +9,10 @@
 // equality a'x + s_i = 0.  A zero right-hand side simplifies every basic-
 // solution formula to x_B = -B^{-1} N x_N.
 //
-// Columns are stored sparse (CSC).  Logical columns are implicit unit
-// vectors and are NOT materialized; SimplexEngine special-cases them.
+// Columns are stored sparse (CSC), and the same entries once more by row
+// (CSR), so the engine can price a pivot row from the rows it needs.
+// Logical columns are implicit unit vectors and are NOT materialized;
+// SimplexEngine special-cases them.
 //
 // Rows are EQUILIBRATED on construction: each row is multiplied by the
 // power of two nearest 1/max|a_ij|, which is exact in floating point and
@@ -33,10 +35,14 @@ struct StandardForm {
   Index num_rows = 0;        // m
   Index num_structural = 0;  // n (columns of A_structural)
 
-  // CSC storage of the structural columns.
+  // CSC storage of the structural columns, each in increasing row order.
   std::vector<std::size_t> col_start;  // size num_structural + 1
   std::vector<Index> row_index;
   std::vector<double> value;
+  // CSR copy of the same entries, each row in increasing column order.
+  std::vector<std::size_t> row_start = {0};  // size num_rows + 1
+  std::vector<Index> col_index;
+  std::vector<double> row_value;
 
   // Bounds and costs for ALL columns (structural first, then m logicals).
   std::vector<double> lb, ub, cost;
@@ -55,8 +61,9 @@ struct StandardForm {
 
   /// Take in the rows `model` has beyond num_rows (same variables): each
   /// new row is scaled by its own max |a|, its entries go to the tail of
-  /// their columns and its logical joins the end, so the result equals
-  /// build(model) field by field.  build() is the case of an empty form.
+  /// their columns and of the row copy, and its logical joins the end, so
+  /// the result equals build(model) field by field.  build() is the case
+  /// of an empty form.
   void append_rows(const Model& model);
 };
 

@@ -8,6 +8,7 @@
 
 #include "ilp/mip_solver.hpp"
 #include "lp/model.hpp"
+#include "support/arithmetic.hpp"
 #include "support/assert.hpp"
 #include "support/log.hpp"
 #include "support/thread_pool.hpp"
@@ -334,8 +335,10 @@ ShardResult map_sharded(const design::Design& design,
       if (part_of[a] == part_of[b]) continue;
       ++cut_edges;
       const std::int64_t traffic = design::edge_traffic(design, a, b);
-      cut_traffic[static_cast<std::size_t>(part_of[a])] += traffic;
-      cut_traffic[static_cast<std::size_t>(part_of[b])] += traffic;
+      for (const int p : {part_of[a], part_of[b]}) {
+        std::int64_t& sum = cut_traffic[static_cast<std::size_t>(p)];
+        sum = support::saturating_add(sum, traffic);
+      }
     }
 
     // Candidate (part, device) pairs whose bits fit the device at all.

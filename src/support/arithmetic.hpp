@@ -69,4 +69,13 @@ constexpr std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
   return a * b;
 }
 
+/// Sum of non-negative 64-bit values that saturates at INT64_MAX instead
+/// of overflowing.  For weights that only rank or scale, such as access
+/// counts, which the parsers bound individually but not in sums.
+constexpr std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
+  GMM_DEBUG_ASSERT(a >= 0 && b >= 0, "saturating_add requires non-negative");
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  return a > kMax - b ? kMax : a + b;
+}
+
 }  // namespace gmm::support

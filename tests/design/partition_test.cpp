@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "support/rng.hpp"
@@ -159,6 +161,29 @@ TEST(Partition, EdgeTrafficIsTheSmallerEndpoint) {
   fallback.add(ds("a", 64, 8));
   fallback.add(ds("b", 32, 8));
   EXPECT_EQ(edge_traffic(fallback, 0, 1), 2 * 32);
+}
+
+TEST(Partition, NineteenDigitAccessCountsSaturateTheTraffic) {
+  // Reads plus writes of 9e18 each exceed INT64_MAX: the edge weight and
+  // every sum of edge weights saturate there instead of overflowing.
+  constexpr std::int64_t kCount = 9'000'000'000'000'000'000;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Design pair("p");
+  pair.add(ds("a", 64, 8, kCount));
+  pair.add(ds("b", 64, 8, kCount));
+  pair.add_conflict(0, 1);
+  EXPECT_EQ(edge_traffic(pair, 0, 1), kMax);
+  const PartitionResult split = partition_design(pair, {.parts = 2});
+  EXPECT_EQ(split.cut_edges, 1);
+  EXPECT_EQ(split.cut_traffic, kMax);
+  // Three mutually conflicting structures over two parts: two cut edges
+  // and affinities of two saturated weights each.
+  Design triple("t");
+  for (const char* name : {"a", "b", "c"}) triple.add(ds(name, 64, 8, kCount));
+  triple.set_all_conflicting();
+  const PartitionResult r = partition_design(triple, {.parts = 2});
+  EXPECT_EQ(r.cut_edges, 2);
+  EXPECT_EQ(r.cut_traffic, kMax);
 }
 
 TEST(Partition, ExtraDimensionCapsSpreadScarceConsumers) {

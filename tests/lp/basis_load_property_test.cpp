@@ -15,7 +15,8 @@
 //
 // Plus unit tests for refresh_basic_solution(): a bound change on a basic
 // column leaves x as it is, one on a nonbasic column matches a full
-// recompute.
+// recompute; and a property on degenerate integer-data LPs: reset_bounds()
+// after a solve, with no bound changed, leaves every status and value.
 //
 // The LPs are packing rows with generic real costs, so every optimum is
 // unique and solutions can be compared, not just objectives.
@@ -451,6 +452,70 @@ TEST(RefreshBasicSolution, NonbasicBoundChangeMatchesFullRecompute) {
     }
   }
   EXPECT_GE(moved, 50);
+}
+
+/// Random packing LP with integer data throughout: x in [0, u] for small
+/// integer u, integer costs (mostly negative, some zero) and integer rows.
+/// Ties between vertices and zero reduced costs are common, so degenerate
+/// pivots leave nonbasic columns at a bound whose reduced cost is zero or
+/// of the other sign inside the dual tolerance.
+Model random_integer_packing_lp(std::uint64_t seed) {
+  support::Rng rng(seed);
+  const int vars = static_cast<int>(rng.uniform_int(6, 20));
+  const int rows = static_cast<int>(rng.uniform_int(3, std::min(12, vars)));
+  Model model;
+  for (int j = 0; j < vars; ++j) {
+    model.add_variable(0, static_cast<double>(rng.uniform_int(1, 3)),
+                       static_cast<double>(rng.uniform_int(-6, 1)));
+  }
+  for (int i = 0; i < rows; ++i) {
+    LinExpr expr;
+    for (int j = 0; j < vars; ++j) {
+      if (rng.bernoulli(0.5)) {
+        expr.add(j, static_cast<double>(rng.uniform_int(1, 4)));
+      }
+    }
+    if (expr.empty()) expr.add(static_cast<Index>(rng.index(vars)), 1.0);
+    model.add_constraint(expr, Sense::kLessEqual,
+                         static_cast<double>(rng.uniform_int(2, 12)));
+  }
+  return model;
+}
+
+// Branch and bound calls reset_bounds() at every pop before it applies the
+// node's own bound path.  With no bound changed it must change nothing: a
+// column whose reduced cost sits at zero (or inside the dual tolerance on
+// the other side) keeps the bound it is at, and x_B is not made stale.
+TEST(ResetBoundsProperty, UnchangedBoundsKeepEveryStatusAndValue) {
+  int on_the_other_side = 0;  // LPs where re-deriving a side would flip
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    const Model model =
+        random_integer_packing_lp(static_cast<std::uint64_t>(seed) * 7727 + 5);
+    const StandardForm sf = StandardForm::build(model);
+    SimplexEngine engine(sf);
+    ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal) << "seed " << seed;
+    std::vector<VStat> status(static_cast<std::size_t>(sf.num_cols()));
+    std::vector<double> value(static_cast<std::size_t>(sf.num_cols()));
+    bool flippable = false;
+    for (Index j = 0; j < sf.num_cols(); ++j) {
+      status[j] = engine.column_status(j);
+      value[j] = engine.column_value(j);
+      const double d = engine.reduced_cost(j);
+      flippable |= (status[j] == VStat::kAtUpper && d >= 0.0) ||
+                   (status[j] == VStat::kAtLower && d < 0.0);
+    }
+    on_the_other_side += flippable ? 1 : 0;
+    engine.reset_bounds();
+    engine.refresh_basic_solution();
+    for (Index j = 0; j < sf.num_cols(); ++j) {
+      EXPECT_EQ(engine.column_status(j), status[j])
+          << "seed " << seed << " column " << j;
+      EXPECT_EQ(engine.column_value(j), value[j])
+          << "seed " << seed << " column " << j;
+    }
+  }
+  // The wall must see the degenerate case it guards.
+  EXPECT_GT(on_the_other_side, 0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lp/solver.hpp"
 #include "support/rng.hpp"
@@ -136,45 +138,113 @@ void expect_same_form(const StandardForm& got, const StandardForm& want) {
   EXPECT_EQ(got.col_start, want.col_start);
   EXPECT_EQ(got.row_index, want.row_index);
   EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.row_start, want.row_start);
+  EXPECT_EQ(got.col_index, want.col_index);
+  EXPECT_EQ(got.row_value, want.row_value);
   EXPECT_EQ(got.lb, want.lb);
   EXPECT_EQ(got.ub, want.ub);
   EXPECT_EQ(got.cost, want.cost);
   EXPECT_EQ(got.row_scale, want.row_scale);
 }
 
+/// The row copy holds exactly the column storage's entries: walking the
+/// columns in order and dealing each entry to its row gives every row in
+/// increasing column order, which must be the CSR arrays bit for bit.
+void expect_row_copy_is_transpose(const StandardForm& sf) {
+  std::vector<std::vector<std::pair<Index, double>>> rows(
+      static_cast<std::size_t>(sf.num_rows));
+  for (Index j = 0; j < sf.num_structural; ++j) {
+    for (std::size_t k = sf.col_start[j]; k < sf.col_start[j + 1]; ++k) {
+      rows[static_cast<std::size_t>(sf.row_index[k])].push_back(
+          {j, sf.value[k]});
+    }
+  }
+  ASSERT_EQ(sf.row_start.size(), static_cast<std::size_t>(sf.num_rows) + 1);
+  EXPECT_EQ(sf.row_start.front(), 0u);
+  EXPECT_EQ(sf.row_start.back(), sf.value.size());
+  ASSERT_EQ(sf.col_index.size(), sf.value.size());
+  ASSERT_EQ(sf.row_value.size(), sf.value.size());
+  for (Index i = 0; i < sf.num_rows; ++i) {
+    const auto& want = rows[static_cast<std::size_t>(i)];
+    ASSERT_EQ(sf.row_start[i + 1] - sf.row_start[i], want.size())
+        << "row " << i;
+    for (std::size_t t = 0; t < want.size(); ++t) {
+      const std::size_t k = sf.row_start[i] + t;
+      EXPECT_EQ(sf.col_index[k], want[t].first) << "row " << i;
+      EXPECT_EQ(sf.row_value[k], want[t].second) << "row " << i;
+      if (t > 0) {
+        EXPECT_LT(sf.col_index[k - 1], sf.col_index[k]) << "row " << i;
+      }
+    }
+  }
+}
+
+/// A random model over 1-12 variables (binaries and general bounds, some
+/// unbounded above) with 0-10 rows.
+Model random_model(support::Rng& rng) {
+  Model m;
+  const auto n = static_cast<Index>(rng.uniform_int(1, 12));
+  for (Index j = 0; j < n; ++j) {
+    if (rng.bernoulli(0.5)) {
+      m.add_binary(static_cast<double>(rng.uniform_int(-5, 5)));
+    } else {
+      m.add_variable(static_cast<double>(rng.uniform_int(-3, 0)),
+                     rng.bernoulli(0.2) ? kInf : rng.uniform_int(1, 9),
+                     static_cast<double>(rng.uniform_int(-5, 5)));
+    }
+  }
+  const std::int64_t rows = rng.uniform_int(0, 10);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const double ub = static_cast<double>(rng.uniform_int(1, 1000));
+    m.add_row(random_row(rng, n), rng.bernoulli(0.3) ? -ub : -kInf, ub);
+  }
+  return m;
+}
+
+/// One cut round: 0-5 cut-like rows appended to `m`.
+void add_random_cuts(support::Rng& rng, Model& m) {
+  const std::int64_t cuts = rng.uniform_int(0, 5);
+  for (std::int64_t k = 0; k < cuts; ++k) {
+    m.add_row(random_row(rng, m.num_vars()), -kInf,
+              static_cast<double>(rng.uniform_int(0, 6)));
+  }
+}
+
 // The root cut loop grows its form in place instead of rebuilding it: over
 // random models and random sequences of appended (cut-like) rows, the
-// grown form must equal a fresh build of the grown model, bit for bit.
+// grown form, its row copy included, must equal a fresh build of the
+// grown model, bit for bit.
 TEST(StandardFormAppendRowsProperty, GrownFormEqualsAFreshBuild) {
   for (int seed = 0; seed < 300; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     support::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 3);
-    Model m;
-    const auto n = static_cast<Index>(rng.uniform_int(1, 12));
-    for (Index j = 0; j < n; ++j) {
-      if (rng.bernoulli(0.5)) {
-        m.add_binary(static_cast<double>(rng.uniform_int(-5, 5)));
-      } else {
-        m.add_variable(static_cast<double>(rng.uniform_int(-3, 0)),
-                       rng.bernoulli(0.2) ? kInf : rng.uniform_int(1, 9),
-                       static_cast<double>(rng.uniform_int(-5, 5)));
-      }
-    }
-    const std::int64_t rows = rng.uniform_int(0, 10);
-    for (std::int64_t i = 0; i < rows; ++i) {
-      const double ub = static_cast<double>(rng.uniform_int(1, 1000));
-      m.add_row(random_row(rng, n), rng.bernoulli(0.3) ? -ub : -kInf, ub);
-    }
+    Model m = random_model(rng);
     StandardForm sf = StandardForm::build(m);
     const std::int64_t rounds = rng.uniform_int(1, 4);
     for (std::int64_t r = 0; r < rounds; ++r) {
-      const std::int64_t cuts = rng.uniform_int(0, 5);
-      for (std::int64_t k = 0; k < cuts; ++k) {
-        m.add_row(random_row(rng, n), -kInf,
-                  static_cast<double>(rng.uniform_int(0, 6)));
-      }
+      add_random_cuts(rng, m);
       sf.append_rows(m);
       expect_same_form(sf, StandardForm::build(m));
+    }
+  }
+}
+
+// The engine prices pivot rows from the row copy and relies on it summing
+// each column's terms in the column storage's order: the copy must be the
+// exact transpose of the columns, for a fresh build and after every cut
+// round grown in place.
+TEST(StandardFormAppendRowsProperty, RowCopyIsTheExactTransposeOfTheColumns) {
+  for (int seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    support::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 11);
+    Model m = random_model(rng);
+    StandardForm sf = StandardForm::build(m);
+    expect_row_copy_is_transpose(sf);
+    const std::int64_t rounds = rng.uniform_int(1, 4);
+    for (std::int64_t r = 0; r < rounds; ++r) {
+      add_random_cuts(rng, m);
+      sf.append_rows(m);
+      expect_row_copy_is_transpose(sf);
     }
   }
 }

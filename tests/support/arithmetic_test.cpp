@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace gmm::support {
 namespace {
 
@@ -77,6 +80,18 @@ TEST(Arithmetic, CheckedMul) {
   EXPECT_EQ(checked_mul(0, 5), 0);
   EXPECT_EQ(checked_mul(4096, 208), 851968);  // largest Virtex on-chip bits
   EXPECT_EQ(checked_mul(1'000'000, 1'000'000), 1'000'000'000'000);
+}
+
+TEST(Arithmetic, SaturatingAdd) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(saturating_add(0, 0), 0);
+  EXPECT_EQ(saturating_add(20, 22), 42);
+  EXPECT_EQ(saturating_add(kMax - 1, 1), kMax);
+  EXPECT_EQ(saturating_add(kMax - 1, 2), kMax);
+  EXPECT_EQ(saturating_add(9'000'000'000'000'000'000,
+                           9'000'000'000'000'000'000),
+            kMax);
+  EXPECT_EQ(saturating_add(kMax, kMax), kMax);
 }
 
 }  // namespace
